@@ -24,11 +24,10 @@
 //   bench_build_scale --no-templates       # classic per-block planning (the
 //                                          # CompileOptions escape hatch) for
 //                                          # template-on/off A-B runs
-//   bench_build_scale --classic-kernels    # all four hot-path kernel
+//   bench_build_scale --classic-kernels    # all three build-kernel
 //                                          # hatches off (fused translate,
 //                                          # radix order, pre-sorted
-//                                          # synthesis, fast intersect) for
-//                                          # PR-7 A/B runs
+//                                          # synthesis) for A/B runs
 //   bench_build_scale --repeat 5           # build every cell 5 times; the
 //                                          # table and phase split show the
 //                                          # fastest run, the JSON adds
@@ -107,7 +106,6 @@ BuildResult BuildOnce(int authors, int threads) {
     copts.use_fused_translate = false;
     copts.use_radix_order = false;
     copts.use_presorted_synthesis = false;
-    copts.use_fast_intersect = false;
   }
   // The chain is ~14 nodes per author at this workload shape; hint the
   // shard managers so the unique tables do not rehash mid-build.

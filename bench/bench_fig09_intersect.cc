@@ -7,18 +7,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <string_view>
+#include <cstdio>
 
 #include "bench_common.h"
 
 namespace mvdb {
 namespace bench {
 namespace {
-
-/// --classic-intersect: run the sweeps with the branch-light fast walk
-/// disabled (MvIndex::set_use_fast_intersect(false)) for A/B numbers on the
-/// same binary. Results are bit-identical either way; only timing moves.
-bool g_classic_intersect = false;
 
 /// A query lineage of ~20 Advisor tuples spaced evenly across the index's
 /// variable range — the paper's "worst case scenario: it forced the system
@@ -37,13 +32,14 @@ Lineage WorstCaseLineage(const Mvdb& mvdb) {
   return q;
 }
 
-void PrintSeries() {
+/// Prints the figure series; returns false if any row's sweeps disagree.
+bool PrintSeries() {
+  bool all_agree = true;
   std::printf("%-12s %14s %16s %20s %18s %12s\n", "aid domain", "index nodes",
               "mvintersect(s)", "cc-mvintersect(s)", "cc-batch8/q(s)",
               "agree");
   for (int n : AidDomainSweep()) {
     Workload w = MakeWorkload(SweepConfig(n));
-    w.engine->mutable_index().set_use_fast_intersect(!g_classic_intersect);
     const Lineage q = WorstCaseLineage(*w.mvdb);
     const NodeId qb = w.engine->manager().FromLineageSynthesis(q);
 
@@ -67,8 +63,8 @@ void PrintSeries() {
     const double cc_s = cc_timer.Seconds() / kReps;
     const double cc = (cc_num / denom).ToDouble();
 
-    // Serving-layer amortization: 8 in-flight copies of the worst-case
-    // query share a single pass over the flat chain.
+    // The serving layer's batch call: 8 in-flight copies of the worst-case
+    // query through one CCMVIntersectBatchScaled over one scratch.
     const std::vector<CcQuery> batch(8, CcQuery{&w.engine->manager(), qb});
     CcSweepScratch scratch;
     std::vector<ScaledDouble> out;
@@ -84,6 +80,7 @@ void PrintSeries() {
     std::printf("%-12d %14zu %16.6f %20.6f %18.6f %12s\n", n,
                 w.engine->index().size(), td_s, cc_s, batch_s,
                 agree ? "yes" : "NO");
+    all_agree = all_agree && agree;
     JsonLine("fig09_intersect")
         .Field("aid_domain", n)
         .Field("flat_nodes", w.engine->index().size())
@@ -92,11 +89,11 @@ void PrintSeries() {
         .Field("cc_batch8_per_query_s", batch_s)
         .Emit();
   }
+  return all_agree;
 }
 
 void BM_MVIntersect(benchmark::State& state) {
   Workload w = MakeWorkload(SweepConfig(static_cast<int>(state.range(0))));
-  w.engine->mutable_index().set_use_fast_intersect(!g_classic_intersect);
   const Lineage q = WorstCaseLineage(*w.mvdb);
   const NodeId qb = w.engine->manager().FromLineageSynthesis(q);
   for (auto _ : state) {
@@ -107,7 +104,6 @@ BENCHMARK(BM_MVIntersect)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
 
 void BM_CCMVIntersect(benchmark::State& state) {
   Workload w = MakeWorkload(SweepConfig(static_cast<int>(state.range(0))));
-  w.engine->mutable_index().set_use_fast_intersect(!g_classic_intersect);
   const Lineage q = WorstCaseLineage(*w.mvdb);
   const NodeId qb = w.engine->manager().FromLineageSynthesis(q);
   for (auto _ : state) {
@@ -117,12 +113,11 @@ void BM_CCMVIntersect(benchmark::State& state) {
 BENCHMARK(BM_CCMVIntersect)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
-/// The serving layer's batched sweep: 8 concurrent worst-case queries share
-/// one forward pass over the flat chain instead of eight. Compare against
-/// 8x BM_CCMVIntersect at the same Arg to read the amortization.
+/// The serving layer's batch call: 8 concurrent worst-case queries, one solo
+/// sweep each over one scratch. Compare against 8x BM_CCMVIntersect at the
+/// same Arg.
 void BM_CCMVIntersectBatch8(benchmark::State& state) {
   Workload w = MakeWorkload(SweepConfig(static_cast<int>(state.range(0))));
-  w.engine->mutable_index().set_use_fast_intersect(!g_classic_intersect);
   const Lineage q = WorstCaseLineage(*w.mvdb);
   const NodeId qb = w.engine->manager().FromLineageSynthesis(q);
   const std::vector<CcQuery> batch(8, CcQuery{&w.engine->manager(), qb});
@@ -141,18 +136,12 @@ BENCHMARK(BM_CCMVIntersectBatch8)->Arg(1000)->Arg(10000)
 }  // namespace mvdb
 
 int main(int argc, char** argv) {
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--classic-intersect") {
-      mvdb::bench::g_classic_intersect = true;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
   mvdb::bench::PrintFigureHeader(
       "Figure 9", "MVIntersect vs CC-MVIntersect, worst-case query");
-  mvdb::bench::PrintSeries();
+  if (!mvdb::bench::PrintSeries()) {
+    std::fprintf(stderr, "fig09: MVIntersect and CC-MVIntersect disagree\n");
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

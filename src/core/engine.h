@@ -166,8 +166,7 @@ class QueryEngine {
 
   /// The compiled MV-index (stats, block layout).
   const MvIndex& index() const { return *index_; }
-  /// Mutable access for post-build A/B toggles (e.g.
-  /// MvIndex::set_use_fast_intersect in kernel parity tests and benches).
+  /// Mutable access to the compiled index (e.g. EnsureChainImported).
   MvIndex& mutable_index() { return *index_; }
   BddManager& manager() { return *mgr_; }
 

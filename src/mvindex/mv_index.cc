@@ -433,7 +433,6 @@ StatusOr<std::unique_ptr<MvIndex>> MvIndex::Build(
   stats.blocks = index->blocks_.size();
   stats.flat_nodes = index->flat_->size();
   stats.flat_bytes = index->flat_->MemoryBytes();
-  index->use_fast_intersect_ = options.use_fast_intersect;
   return index;
 }
 
@@ -754,8 +753,7 @@ void MvIndex::FastForward(int32_t q_first_level, ScaledDouble* prefix,
   *start = lo < blocks_.size() ? blocks_[lo].chain_root : kFlatTrue;
 }
 
-ScaledDouble MvIndex::SuffixAfterNode(FlatId u) const {
-  if (blocks_.empty()) return ScaledDouble::One();
+size_t MvIndex::BlockOf(FlatId u) const {
   // Last block whose chain entry is at or before u — blocks tile [0, N)
   // contiguously in flat order, so this is u's containing block.
   size_t lo = 0;
@@ -768,7 +766,12 @@ ScaledDouble MvIndex::SuffixAfterNode(FlatId u) const {
       hi = mid;
     }
   }
-  return block_suffix_[lo + 1];
+  return lo;
+}
+
+ScaledDouble MvIndex::SuffixAfterNode(FlatId u) const {
+  if (blocks_.empty()) return ScaledDouble::One();
+  return block_suffix_[BlockOf(u) + 1];
 }
 
 double MvIndex::ProbQ(const BddManager& qmgr, NodeId q,
@@ -843,280 +846,135 @@ ScaledDouble MvIndex::MVIntersectScaled(NodeId q_root) const {
 }
 
 ScaledDouble MvIndex::CCMVIntersectScaled(NodeId q_root) const {
-  return CCMVIntersectScaled(CcQuery{mgr_, q_root}, &cc_scratch_);
+  CcSweepScratch scratch;
+  return CCMVIntersectScaled(CcQuery{mgr_, q_root}, &scratch);
 }
 
 ScaledDouble MvIndex::CCMVIntersectScaled(const CcQuery& q,
                                           CcSweepScratch* scratch) const {
-  const std::vector<CcQuery> queries = {q};
-  std::vector<ScaledDouble> out;
-  CCMVIntersectBatchScaled(queries, scratch, &out);
-  return out[0];
+  const BddManager& qmgr = *q.mgr;
+  if (q.root == BddManager::kFalse) return ScaledDouble::Zero();
+  if (q.root == BddManager::kTrue) return ProbNotWScaled();
+  auto& qmemo = scratch->qmemo;
+  qmemo.clear();
+  ScaledDouble prefix;
+  FlatId start;
+  FastForward(qmgr.level(q.root), &prefix, &start);
+  if (start == kFlatTrue) {
+    return prefix * ScaledDouble(ProbQ(qmgr, q.root, &qmemo));
+  }
+  if (start == kFlatFalse) return ScaledDouble::Zero();
+
+  // The frontier: pending (flat node, query node) pairings in a min-heap
+  // ordered by (u, query level, q, push seq). Popping in that order visits
+  // flat nodes ascending (edges only point forward), expands query nodes
+  // level by level within a flat node, and delivers every entry for one
+  // (u, q) pair consecutively and in push order — so the merged weight and
+  // the order of additions to `total` are functions of the query and the
+  // index alone, never of container history.
+  using Entry = CcSweepScratch::Entry;
+  auto later = [](const Entry& a, const Entry& b) {
+    if (a.u != b.u) return a.u > b.u;
+    if (a.level != b.level) return a.level > b.level;
+    if (a.q != b.q) return a.q > b.q;
+    return a.seq > b.seq;
+  };
+  auto& heap = scratch->heap;
+  heap.clear();
+  uint32_t seq = 0;
+  ScaledDouble total;
+
+  // Annotations are block-local, so every sink credit multiplies the
+  // remaining-chain product back in. Popped flat nodes ascend and blocks
+  // tile [0, N) contiguously, so after one binary search for the entry
+  // block the cursor only moves forward. A credit targets u itself, an
+  // in-block successor, or the next block's chain root; `sfx_next` covers
+  // the last case.
+  const size_t num_blocks = blocks_.size();
+  const FlatId fsize = static_cast<FlatId>(flat_->size());
+  size_t cur_block = num_blocks > 0 ? BlockOf(start) : 0;
+  FlatId cur_block_end = fsize;
+  ScaledDouble sfx_here = ScaledDouble::One();
+  ScaledDouble sfx_next = ScaledDouble::One();
+  auto enter_block = [&] {
+    cur_block_end = cur_block + 1 < num_blocks
+                        ? blocks_[cur_block + 1].chain_root
+                        : fsize;
+    sfx_here = block_suffix_[cur_block + 1];
+    sfx_next = cur_block + 2 < block_suffix_.size()
+                   ? block_suffix_[cur_block + 2]
+                   : ScaledDouble::One();
+  };
+  if (num_blocks > 0) enter_block();
+
+  auto push = [&](FlatId u, NodeId next_q, const ScaledDouble& w) {
+    heap.push_back({u, qmgr.level(next_q), next_q, seq++, w});
+    std::push_heap(heap.begin(), heap.end(), later);
+  };
+  auto emit = [&](FlatId next_u, NodeId next_q, const ScaledDouble& w) {
+    if (next_q == BddManager::kFalse || next_u == kFlatFalse) return;
+    if (next_u == kFlatTrue) {
+      total += w * ScaledDouble(ProbQ(qmgr, next_q, &qmemo));
+      return;
+    }
+    if (next_q == BddManager::kTrue) {
+      total += w * flat_->prob_under_scaled(next_u) *
+               (next_u < cur_block_end ? sfx_here : sfx_next);
+      return;
+    }
+    push(next_u, next_q, w);
+  };
+
+  push(start, q.root, ScaledDouble::One());
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Entry e = heap.back();
+    heap.pop_back();
+    while (!heap.empty() && heap.front().u == e.u && heap.front().q == e.q) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      e.w += heap.back().w;
+      heap.pop_back();
+    }
+    const FlatId u = e.u;
+    if (num_blocks > 0 && u >= cur_block_end) {
+      while (cur_block + 1 < num_blocks &&
+             u >= blocks_[cur_block + 1].chain_root) {
+        ++cur_block;
+      }
+      enter_block();
+    }
+    const int32_t lu = flat_->level(u);
+    const BddNode& nn = qmgr.node(e.q);
+    if (e.level < lu) {
+      // Query-only level above u: expand in place. Children land back at u
+      // (popped after e, since their levels are deeper); a true child is a
+      // sink credit at u.
+      auto expand = [&](NodeId child, const ScaledDouble& w) {
+        if (child == BddManager::kTrue) {
+          total += w * flat_->prob_under_scaled(u) * sfx_here;
+        } else if (child != BddManager::kFalse) {
+          push(u, child, w);
+        }
+      };
+      const double p = flat_->prob_at_level(e.level);
+      expand(nn.lo, e.w * ScaledDouble(1.0 - p));
+      expand(nn.hi, e.w * ScaledDouble(p));
+      continue;
+    }
+    const double pu = flat_->prob_at_level(lu);
+    const bool split = e.level == lu;
+    emit(flat_->lo(u), split ? nn.lo : e.q, e.w * ScaledDouble(1.0 - pu));
+    emit(flat_->hi(u), split ? nn.hi : e.q, e.w * ScaledDouble(pu));
+  }
+  return prefix * total;
 }
 
 void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
                                        CcSweepScratch* scratch,
                                        std::vector<ScaledDouble>* out) const {
-  const size_t n = queries.size();
-  out->assign(n, ScaledDouble::Zero());
-  if (n == 0) return;
-
-  // Per-root accumulation state. Everything a root's answer depends on —
-  // the merge/expand maps (whose iteration order is a function of the
-  // NodeIds inserted), the query-side memo, the running total — is private
-  // to the root, so each root sees exactly the operation sequence of the
-  // solo sweep regardless of what else shares the pass.
-  struct ItemState {
-    ScaledDouble prefix;
-    ScaledDouble total;
-    std::unordered_map<NodeId, double> qmemo;
-    std::unordered_map<NodeId, ScaledDouble> merged;
-    std::unordered_map<NodeId, ScaledDouble> next_level;
-    bool active = false;
-  };
-  std::vector<ItemState> items(n);
-
-  auto& buckets = scratch->buckets;
-  if (buckets.size() < flat_->size()) buckets.resize(flat_->size());
-  scratch->touched.clear();
-  size_t pending = 0;
-  FlatId first = static_cast<FlatId>(flat_->size());
-
-  for (size_t i = 0; i < n; ++i) {
-    const BddManager& qmgr = *queries[i].mgr;
-    const NodeId q_root = queries[i].root;
-    ItemState& st = items[i];
-    if (q_root == BddManager::kFalse) continue;  // stays Zero
-    if (q_root == BddManager::kTrue) {
-      (*out)[i] = ProbNotWScaled();
-      continue;
-    }
-    ScaledDouble prefix;
-    FlatId start;
-    FastForward(qmgr.level(q_root), &prefix, &start);
-    if (start == kFlatTrue) {
-      (*out)[i] = prefix * ScaledDouble(ProbQ(qmgr, q_root, &st.qmemo));
-      continue;
-    }
-    if (start == kFlatFalse) continue;  // stays Zero
-    st.prefix = prefix;
-    st.active = true;
-    auto& b = buckets[static_cast<size_t>(start)];
-    if (b.empty()) scratch->touched.push_back(start);
-    b.push_back({static_cast<uint32_t>(i), q_root, ScaledDouble::One()});
-    ++pending;
-    first = std::min(first, start);
-  }
-
-  auto& per_item = scratch->per_item;
-  if (per_item.size() < n) per_item.resize(n);
-  std::vector<uint32_t> items_here;  // roots with entries at this flat node
-  std::vector<ScaledDouble> credits;  // fast-walk sink credits, in add order
-
-  // Hoisted bases for the sweep: the outer bucket vector is never resized
-  // inside the loop (emit only appends to existing buckets), and the flat
-  // SoA arrays are immutable, so raw pointers are safe to cache and cheap
-  // to software-prefetch a few nodes ahead of the scan.
-  const bool fast = use_fast_intersect_;
-  const FlatId fsize = static_cast<FlatId>(flat_->size());
-  const int32_t* const flat_levels = flat_->levels_data();
-  const FlatEdges* const flat_edges = flat_->edges_data();
-  const ScaledDouble* const flat_under = flat_->prob_under_data();
-  const auto* const bucket_base = buckets.data();
-
-  // Annotations are block-local, so every sink credit multiplies the
-  // remaining-chain product back in. The sweep visits nodes in ascending
-  // flat order and blocks tile [0, N) contiguously, so the containing
-  // block advances monotonically with u — O(1) amortized, no per-credit
-  // search. Credits target either the current node u, an in-block
-  // successor, or the next block's chain root; the ternary in emit picks
-  // between the two precomputed suffix products accordingly.
-  const size_t num_blocks = blocks_.size();
-  size_t cur_block = 0;
-
-  // One forward sweep over the level-sorted node vector: edges only point
-  // forward, so a single pass from the earliest entry visits every
-  // reachable (root, flat node) pairing for every root in the batch.
-  for (FlatId u = first; pending > 0 && u < fsize; ++u) {
-    if (fast && u + 8 < fsize) {
-      // The sweep's access pattern is a strided forward scan with
-      // unpredictable bucket occupancy; prefetch the upcoming bucket
-      // headers and SoA entries so the occupancy test and level read
-      // don't stall the walk.
-      __builtin_prefetch(&bucket_base[u + 8]);
-      __builtin_prefetch(&flat_levels[u + 8]);
-      __builtin_prefetch(&flat_edges[u + 8]);
-      __builtin_prefetch(&flat_under[u + 8]);
-    }
-    auto& bucket = buckets[static_cast<size_t>(u)];
-    if (bucket.empty()) continue;
-    pending -= bucket.size();
-    const int32_t lu = flat_->level(u);
-    const double pu = flat_->prob_at_level(lu);
-    while (cur_block + 1 < num_blocks &&
-           u >= blocks_[cur_block + 1].chain_root) {
-      ++cur_block;
-    }
-    const FlatId cur_block_end = cur_block + 1 < num_blocks
-                                     ? blocks_[cur_block + 1].chain_root
-                                     : fsize;
-    const ScaledDouble sfx_here = num_blocks > 0 ? block_suffix_[cur_block + 1]
-                                                 : ScaledDouble::One();
-    const ScaledDouble sfx_next = cur_block + 2 < block_suffix_.size()
-                                      ? block_suffix_[cur_block + 2]
-                                      : ScaledDouble::One();
-
-    // Distribute the root-tagged entries to per-root lists. push_back keeps
-    // each root's entry order identical to its solo-sweep bucket order.
-    items_here.clear();
-    for (const auto& e : bucket) {
-      auto& list = per_item[e.item];
-      if (list.empty()) items_here.push_back(e.item);
-      list.push_back({e.q, e.w});
-    }
-    bucket.clear();
-
-    for (const uint32_t item : items_here) {
-      ItemState& st = items[item];
-      const BddManager& qmgr = *queries[item].mgr;
-      auto& list = per_item[item];
-
-      auto emit = [&](FlatId next_u, NodeId next_q, const ScaledDouble& w) {
-        if (next_q == BddManager::kFalse || next_u == kFlatFalse) return;
-        if (next_u == kFlatTrue) {
-          st.total += w * ScaledDouble(ProbQ(qmgr, next_q, &st.qmemo));
-          return;
-        }
-        if (next_q == BddManager::kTrue) {
-          st.total += w * flat_->prob_under_scaled(next_u) *
-                      (next_u < cur_block_end ? sfx_here : sfx_next);
-          return;
-        }
-        auto& b = buckets[static_cast<size_t>(next_u)];
-        if (b.empty()) scratch->touched.push_back(next_u);
-        b.push_back({item, next_q, w});
-        ++pending;
-      };
-
-      // Fast walk: a single-entry bucket (the common case — most queries
-      // keep a one-node front through each block) never widens until a
-      // query node has two live successors, so the expand loop's hash maps
-      // are pure overhead. Walk the query chain in registers, buffering
-      // sink credits so they apply to st.total in exactly the classic
-      // pass order. Any case whose classic handling depends on map
-      // iteration order — a widening node, or a true sink deferred to the
-      // order-sensitive final loop — bails to the classic code below with
-      // the entry list untouched, so the per-item map state (including
-      // hash-table bucket-count history) evolves exactly as in the classic
-      // sweep and parity stays bit-identical.
-      if (fast && list.size() == 1 && !qmgr.IsSink(list[0].first)) {
-        NodeId q = list[0].first;
-        ScaledDouble w = list[0].second;
-        credits.clear();
-        bool bail = false;
-        bool done = false;
-        while (qmgr.level(q) < lu) {
-          const BddNode& nn = qmgr.node(q);
-          const bool lo_sink = qmgr.IsSink(nn.lo);
-          const bool hi_sink = qmgr.IsSink(nn.hi);
-          if (!lo_sink && !hi_sink) {
-            bail = true;  // front widens: classic map processing required
-            break;
-          }
-          const double p = flat_->prob_at_level(qmgr.level(q));
-          const ScaledDouble wlo = w * ScaledDouble(1.0 - p);
-          const ScaledDouble whi = w * ScaledDouble(p);
-          if (lo_sink && hi_sink) {
-            // Reduced OBDD: {lo, hi} is {kFalse, kTrue} in some order.
-            credits.push_back((nn.lo == BddManager::kTrue ? wlo : whi) *
-                              flat_->prob_under_scaled(u) * sfx_here);
-            done = true;
-            break;
-          }
-          const NodeId sink = lo_sink ? nn.lo : nn.hi;
-          const NodeId surv = lo_sink ? nn.hi : nn.lo;
-          if (sink == BddManager::kTrue) {
-            if (qmgr.level(surv) >= lu) {
-              // Classic credits this sink in the final loop, interleaved
-              // with the survivor's emits in map order — bail.
-              bail = true;
-              break;
-            }
-            credits.push_back((lo_sink ? wlo : whi) *
-                              flat_->prob_under_scaled(u) * sfx_here);
-          }
-          q = surv;
-          w = lo_sink ? whi : wlo;
-        }
-        if (!bail) {
-          list.clear();
-          for (const ScaledDouble& c : credits) st.total += c;
-          if (!done) {
-            NodeId q0 = q, q1 = q;
-            if (qmgr.level(q) == lu) {
-              const BddNode& nn = qmgr.node(q);
-              q0 = nn.lo;
-              q1 = nn.hi;
-            }
-            emit(flat_->lo(u), q0, w * ScaledDouble(1.0 - pu));
-            emit(flat_->hi(u), q1, w * ScaledDouble(pu));
-          }
-          continue;
-        }
-      }
-
-      // Merge duplicate query nodes, then expand query-only levels below lu
-      // one level at a time (merging keeps the set bounded by the query
-      // OBDD width, not the number of paths).
-      st.merged.clear();
-      for (const auto& [q, w] : list) st.merged[q] += w;
-      list.clear();
-      while (true) {
-        int32_t min_level = BddManager::kSinkLevel;
-        for (const auto& [q, w] : st.merged) {
-          if (!qmgr.IsSink(q)) min_level = std::min(min_level, qmgr.level(q));
-        }
-        if (min_level >= lu) break;
-        st.next_level.clear();
-        const double p = flat_->prob_at_level(min_level);
-        for (const auto& [q, w] : st.merged) {
-          if (q == BddManager::kFalse) continue;
-          if (q == BddManager::kTrue) {
-            st.total += w * flat_->prob_under_scaled(u) * sfx_here;
-            continue;
-          }
-          if (qmgr.level(q) == min_level) {
-            const BddNode& nn = qmgr.node(q);
-            st.next_level[nn.lo] += w * ScaledDouble(1.0 - p);
-            st.next_level[nn.hi] += w * ScaledDouble(p);
-          } else {
-            st.next_level[q] += w;
-          }
-        }
-        st.merged.swap(st.next_level);
-      }
-
-      for (const auto& [q, w] : st.merged) {
-        if (q == BddManager::kFalse) continue;
-        if (q == BddManager::kTrue) {
-          st.total += w * flat_->prob_under_scaled(u) * sfx_here;
-          continue;
-        }
-        NodeId q0 = q, q1 = q;
-        if (qmgr.level(q) == lu) {
-          const BddNode& nn = qmgr.node(q);
-          q0 = nn.lo;
-          q1 = nn.hi;
-        }
-        emit(flat_->lo(u), q0, w * ScaledDouble(1.0 - pu));
-        emit(flat_->hi(u), q1, w * ScaledDouble(pu));
-      }
-    }
-  }
-  for (FlatId t : scratch->touched) buckets[static_cast<size_t>(t)].clear();
-  scratch->touched.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (items[i].active) (*out)[i] = items[i].prefix * items[i].total;
+  out->resize(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    (*out)[i] = CCMVIntersectScaled(queries[i], scratch);
   }
 }
 

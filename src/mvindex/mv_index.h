@@ -47,9 +47,10 @@ struct CcQuery {
   NodeId root = BddManager::kFalse;
 };
 
-/// Reusable per-thread scratch for the CC sweep: the per-flat-node weight
-/// buckets of the forward pass. Contents are cleared (capacity kept)
-/// between calls; treat as opaque.
+/// Reusable per-thread scratch for the CC sweep: the frontier heap and the
+/// query-side probability memo. Both are cleared (capacity kept) at the
+/// start of every sweep, so an answer never depends on what the scratch
+/// served before; treat as opaque.
 class CcSweepScratch {
  public:
   CcSweepScratch() = default;
@@ -57,15 +58,14 @@ class CcSweepScratch {
  private:
   friend class MvIndex;
   struct Entry {
-    uint32_t item;   ///< index into the batch
-    NodeId q;        ///< query node reaching this flat node
+    FlatId u;        ///< flat node the pairing sits at
+    int32_t level;   ///< level of q (cached; the heap's second key)
+    NodeId q;        ///< query node reaching u
+    uint32_t seq;    ///< push order; fixes the merge order of equal (u, q)
     ScaledDouble w;  ///< accumulated path weight
   };
-  std::vector<std::vector<Entry>> buckets;
-  std::vector<FlatId> touched;
-  /// Per-item distribution lists reused across flat nodes (keeps the batch
-  /// sweep's per-item entry order identical to the solo sweep's bucket).
-  std::vector<std::vector<std::pair<NodeId, ScaledDouble>>> per_item;
+  std::vector<Entry> heap;
+  std::unordered_map<NodeId, double> qmemo;
 };
 
 /// One variable-disjoint block of the compiled NOT W chain.
@@ -110,10 +110,6 @@ struct MvIndexBuildOptions {
   /// BddManagers (FromLineageSynthesis / ConcatOr stop reallocating and
   /// re-sorting per clause).
   bool use_presorted_synthesis = true;
-  /// Branch-light, software-prefetched CC-MVIntersect walk over the flat
-  /// SoA arrays; carried onto the built index (MvIndex::set_use_fast_intersect
-  /// flips it after the fact for A/B tests).
-  bool use_fast_intersect = true;
 };
 
 /// What the offline build did — the numbers bench_build_scale reports.
@@ -324,7 +320,8 @@ class MvIndex {
     return MVIntersectScaled(q_root).ToDouble();
   }
 
-  /// P0(Q ^ NOT W) by the cache-conscious forward sweep.
+  /// P0(Q ^ NOT W) by the cache-conscious forward sweep (with a scratch
+  /// local to the call).
   ScaledDouble CCMVIntersectScaled(NodeId q_root) const;
   double CCMVIntersect(NodeId q_root) const {
     return CCMVIntersectScaled(q_root).ToDouble();
@@ -338,12 +335,11 @@ class MvIndex {
   ScaledDouble CCMVIntersectScaled(const CcQuery& q,
                                    CcSweepScratch* scratch) const;
 
-  /// Batched CC sweep: evaluates every root in ONE forward pass over the
-  /// flat chain (concurrent in-flight queries share the pass; Section 4.3's
-  /// sweep is root-oblivious). Per-root accumulation state is fully
-  /// isolated and ordered exactly as in the solo sweep, so
-  /// (*out)[i] is bit-identical to CCMVIntersectScaled(queries[i], scratch)
-  /// — batching changes wall time, never bits.
+  /// Batched CC sweep: one solo sweep per root, in order, over the one
+  /// scratch — so (*out)[i] is bit-identical to
+  /// CCMVIntersectScaled(queries[i], scratch) by construction. Batching
+  /// amortizes the serving layer's dispatch and the scratch's capacity,
+  /// never changes bits.
   void CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
                                 CcSweepScratch* scratch,
                                 std::vector<ScaledDouble>* out) const;
@@ -382,13 +378,6 @@ class MvIndex {
   /// to *build* in the same manager still need their own synchronization.
   NodeId EnsureChainImported();
 
-  /// Toggles the branch-light, software-prefetched CC sweep walk after the
-  /// fact (normally inherited from MvIndexBuildOptions::use_fast_intersect).
-  /// Results are bit-identical either way — intersect_kernel_test pins the
-  /// parity; the setter exists for A/B comparisons on one built index.
-  void set_use_fast_intersect(bool on) { use_fast_intersect_ = on; }
-  bool use_fast_intersect() const { return use_fast_intersect_; }
-
  private:
   MvIndex() = default;
 
@@ -400,10 +389,14 @@ class MvIndex {
   /// variable, returning their probability product and the chain entry.
   void FastForward(int32_t q_first_level, ScaledDouble* prefix, FlatId* start) const;
 
+  /// Index of the block that owns flat node `u` (binary search over the
+  /// chain roots). Requires a non-empty chain.
+  size_t BlockOf(FlatId u) const;
+
   /// Product of the block factors strictly after the block that owns flat
-  /// node `u` (binary search over the chain roots) — what a consumer
-  /// multiplies a block-local probUnder read at `u` by to restore the
-  /// downstream chain's contribution.
+  /// node `u` (BlockOf) — what a consumer multiplies a block-local
+  /// probUnder read at `u` by to restore the downstream chain's
+  /// contribution.
   ScaledDouble SuffixAfterNode(FlatId u) const;
 
   /// P(query sub-OBDD) with per-call memo (used when the W side exhausts).
@@ -417,7 +410,6 @@ class MvIndex {
   std::vector<double> var_probs_;
   NodeId not_w_root_ = BddManager::kTrue;
   MvIndexBuildStats build_stats_;
-  bool use_fast_intersect_ = true;
   bool chain_imported_ = false;   ///< see EnsureChainImported()
   std::mutex chain_import_mu_;    ///< guards the lazy import (not call_once:
                                   ///< a structural delta re-arms the import)
@@ -450,10 +442,6 @@ class MvIndex {
   mutable std::vector<size_t> pending_patch_blocks_;
   mutable std::vector<int32_t> pending_patch_levels_;
   mutable bool weights_synced_ = false;
-
-  // Scratch backing the legacy single-manager CCMVIntersectScaled(NodeId)
-  // entry point (not thread-safe; concurrent callers pass their own).
-  mutable CcSweepScratch cc_scratch_;
 };
 
 }  // namespace mvdb

@@ -47,34 +47,79 @@ NodeId BddManager::Mk(int32_t level, NodeId lo, NodeId hi) {
 }
 
 NodeId BddManager::Apply(OpKind op, NodeId f, NodeId g) {
-  // Terminal cases.
-  if (op == OpKind::kAnd) {
-    if (f == kFalse || g == kFalse) return kFalse;
-    if (f == kTrue) return g;
-    if (g == kTrue) return f;
-    if (f == g) return f;
-  } else {
-    if (f == kTrue || g == kTrue) return kTrue;
-    if (f == kFalse) return g;
-    if (g == kFalse) return f;
-    if (f == g) return f;
-  }
-  if (f > g) std::swap(f, g);  // commutative: canonicalize the cache key
-  const uint64_t key = OpKey(op, f, g);
-  NodeId cached;
-  if (op_cache_.Lookup(key, &cached)) return cached;
-  ++apply_steps_;
+  // Iterative post-order, like Not(): an operand as deep as the NOT W chain
+  // would otherwise recurse once per level and exhaust the stack. Each
+  // frame owns its already-computed hi result, so correctness never
+  // depends on the lossy op cache. The hi cofactor is evaluated before the
+  // lo one: node creation order fixes the NodeIds, and the pinned golden
+  // hashes were recorded with hi-first creation.
+  //
+  // Resolves a pair without descending: terminal cases and cache hits.
+  // Canonicalizes the commutative pair in place (the cache key).
+  const NodeId absorbing = op == OpKind::kAnd ? kFalse : kTrue;
+  const NodeId identity = op == OpKind::kAnd ? kTrue : kFalse;
+  auto resolve = [&](NodeId* a, NodeId* b, NodeId* out) {
+    if (*a == absorbing || *b == absorbing) {
+      *out = absorbing;
+      return true;
+    }
+    if (*a == identity) {
+      *out = *b;
+      return true;
+    }
+    if (*b == identity || *a == *b) {
+      *out = *a;
+      return true;
+    }
+    if (*a > *b) std::swap(*a, *b);
+    return op_cache_.Lookup(OpKey(op, *a, *b), out);
+  };
 
-  const BddNode& nf = nodes_[static_cast<size_t>(f)];
-  const BddNode& ng = nodes_[static_cast<size_t>(g)];
-  const int32_t m = std::min(nf.level, ng.level);
-  const NodeId f0 = (nf.level == m) ? nf.lo : f;
-  const NodeId f1 = (nf.level == m) ? nf.hi : f;
-  const NodeId g0 = (ng.level == m) ? ng.lo : g;
-  const NodeId g1 = (ng.level == m) ? ng.hi : g;
-  const NodeId r = Mk(m, Apply(op, f0, g0), Apply(op, f1, g1));
-  op_cache_.Insert(key, r);
-  return r;
+  NodeId ret = kFalse;
+  if (resolve(&f, &g, &ret)) return ret;
+  auto& stack = apply_stack_;
+  stack.push_back(ApplyFrame{f, g});
+  ++apply_steps_;
+  while (!stack.empty()) {
+    ApplyFrame fr = stack.back();  // copy: pushes may reallocate the stack
+    // Copies: Mk may reallocate nodes_.
+    const BddNode nf = nodes_[static_cast<size_t>(fr.f)];
+    const BddNode ng = nodes_[static_cast<size_t>(fr.g)];
+    const int32_t m = std::min(nf.level, ng.level);
+    if (fr.stage == 1) {  // hi child just completed into `ret`
+      fr.hi = ret;
+      fr.stage = 2;
+    } else if (fr.stage == 0) {
+      NodeId f1 = (nf.level == m) ? nf.hi : fr.f;
+      NodeId g1 = (ng.level == m) ? ng.hi : fr.g;
+      if (resolve(&f1, &g1, &fr.hi)) {
+        fr.stage = 2;
+      } else {
+        stack.back().stage = 1;
+        stack.push_back(ApplyFrame{f1, g1});
+        ++apply_steps_;
+        continue;
+      }
+    }
+    NodeId lo;
+    if (fr.stage == 3) {  // lo child just completed into `ret`
+      lo = ret;
+    } else {
+      NodeId f0 = (nf.level == m) ? nf.lo : fr.f;
+      NodeId g0 = (ng.level == m) ? ng.lo : fr.g;
+      if (!resolve(&f0, &g0, &lo)) {
+        fr.stage = 3;
+        stack.back() = fr;
+        stack.push_back(ApplyFrame{f0, g0});
+        ++apply_steps_;
+        continue;
+      }
+    }
+    ret = Mk(m, lo, fr.hi);
+    op_cache_.Insert(OpKey(op, fr.f, fr.g), ret);
+    stack.pop_back();
+  }
+  return ret;
 }
 
 NodeId BddManager::Not(NodeId f) {

@@ -205,6 +205,17 @@ class BddManager {
   std::vector<std::pair<int32_t, bool>> lits_scratch_;
   /// Concat memo reused across ConcatOr/ConcatAnd calls (cleared per call).
   std::unordered_map<NodeId, NodeId> concat_memo_;
+  /// Apply's explicit post-order stack, reused across calls (empty between
+  /// them; Apply never re-enters itself).
+  struct ApplyFrame {
+    NodeId f;
+    NodeId g;
+    NodeId hi = -1;
+    // 0 = hi unresolved, 1 = hi child pending on the stack,
+    // 2 = hi done / lo unresolved, 3 = lo child pending on the stack.
+    uint8_t stage = 0;
+  };
+  std::vector<ApplyFrame> apply_stack_;
 };
 
 }  // namespace mvdb

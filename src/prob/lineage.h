@@ -84,8 +84,9 @@ class Lineage {
   }
 
   /// Sorts clauses, removes duplicates and absorbed clauses (c1 subset of c2
-  /// implies c2 is redundant). Quadratic; used on the small Q-lineages and in
-  /// tests, not on hot paths.
+  /// implies c2 is redundant). Each clause is checked only against the kept
+  /// clauses that share one of its literals, so random clause sets of the
+  /// W-lineage's size (~150K) normalize in well under a second.
   void Normalize();
 
   /// Distinct variables mentioned, sorted ascending.

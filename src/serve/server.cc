@@ -172,9 +172,8 @@ void Server::EvalRequest(const Ucq& q, WorkerState* state, EvalOutcome* out) {
   if (!out->status.ok()) return;
 
   // Fresh per-request manager sharing the immutable VarOrder: NodeIds (and
-  // with them every downstream hash-map iteration order in the CC sweep)
-  // depend only on this request's canonical lineages — the serving
-  // bit-identity invariant.
+  // with them the CC sweep's frontier tie-break order) depend only on this
+  // request's canonical lineages — the serving bit-identity invariant.
   out->qmgr = std::make_unique<BddManager>(order_);
   out->heads.reserve(answers.size());
   out->roots.reserve(answers.size());
@@ -207,7 +206,7 @@ void Server::ExecuteBatch(std::vector<Pending>* batch, WorkerState* state,
     }
   }
 
-  // Phase 2: one batched CC sweep answers every tuple of every request.
+  // Phase 2: one batch call sweeps every tuple of every request.
   std::vector<ScaledDouble> nums;
   if (!roots.empty()) {
     index_->CCMVIntersectBatchScaled(roots, &state->sweep, &nums);

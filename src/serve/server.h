@@ -12,14 +12,16 @@
 //                   typed Status (kDeadlineExceeded / kUnavailable) instead
 //                   of blocking the caller;
 //   batched sweep — a worker drains up to max_batch requests at once and
-//                   answers all of their tuples in ONE CC-MVIntersect pass
-//                   over the flat chain (MvIndex::CCMVIntersectBatchScaled).
+//                   answers all of their tuples with one call into
+//                   MvIndex::CCMVIntersectBatchScaled (a solo CC sweep per
+//                   tuple over the worker's one sweep scratch).
 //
 // Bit-identity invariant: every request's query OBDDs are synthesized into
 // a fresh private BddManager (sharing the index's immutable VarOrder), so
-// the NodeIds — and hence every hash-map iteration order downstream in the
-// sweep — depend only on the request itself, never on scheduling, batching,
-// or cache state. serve_concurrency_test pins this with golden hashes.
+// the NodeIds — and with them the sweep's frontier tie-break order, which
+// keys on NodeId — depend only on the request itself, never on scheduling,
+// batching, or cache state. serve_concurrency_test pins this with golden
+// hashes.
 
 #ifndef MVDB_SERVE_SERVER_H_
 #define MVDB_SERVE_SERVER_H_

@@ -1,16 +1,19 @@
 // Parity battery for the hot-path kernels of the offline build and the
 // online CC sweep. Every kernel behind an MvIndexBuildOptions hatch —
-// fused translate, radix ordering, pre-sorted synthesis, and the
-// branch-light fast-intersect walk — must be bit-identical to its classic
-// counterpart: same flat layout, same extended-range probabilities, same
-// answer bits. The serving golden hash of serve_concurrency_test is
-// re-pinned here with the fast walk toggled both ways, and randomized
-// query OBDDs stress the walk's bail cases (widening fronts, true sinks
-// deferred past the block level, sink-only collapses). Runs under the
-// TSan and ASan/UBSan CI jobs.
+// fused translate, radix ordering, pre-sorted synthesis — must be
+// bit-identical to its classic counterpart: same flat layout, same
+// extended-range probabilities, same answer bits. The CC sweep has one
+// path: the serving golden hash of serve_concurrency_test is pinned here,
+// randomized query OBDDs (widening fronts, true sinks past the block
+// level, sink-only collapses) are checked against the recursive
+// MVIntersect, and batch and scratch reuse are checked bitwise against
+// solo sweeps on fresh scratch. Runs under the TSan and ASan/UBSan CI
+// jobs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -140,33 +143,22 @@ std::vector<std::vector<AnswerProb>> ServingReference(SharedWorkload& s) {
   return reference;
 }
 
-// Golden hash shared with serve_concurrency_test — the fast walk must not
-// move a single answer bit on the serving workload.
+// Golden hash shared with serve_concurrency_test.
 constexpr uint64_t kGoldenAnswers = 9734561884288702949ULL;
 
-TEST(IntersectKernelTest, ServingGoldenHashWithFastWalkOnAndOff) {
-  SharedWorkload& s = Shared();
-  MvIndex& index = s.engine->mutable_index();
-
-  ASSERT_TRUE(index.use_fast_intersect());  // default-on
-  EXPECT_EQ(HashAnswers(ServingReference(s)), kGoldenAnswers);
-
-  index.set_use_fast_intersect(false);  // classic map-driven sweep
-  EXPECT_EQ(HashAnswers(ServingReference(s)), kGoldenAnswers);
-
-  index.set_use_fast_intersect(true);
-  EXPECT_EQ(HashAnswers(ServingReference(s)), kGoldenAnswers);
+TEST(IntersectKernelTest, ServingGoldenHash) {
+  EXPECT_EQ(HashAnswers(ServingReference(Shared())), kGoldenAnswers);
 }
 
 /// Builds a deterministic pool of randomized query OBDDs over the index's
 /// variable order: DNF and CNF mixes over random levels, plus single
-/// literals and negations — narrow chains (the fast walk's home turf),
-/// widening diamonds (bail case), and constant collapses.
+/// literals and negations — narrow chains, widening diamonds, and constant
+/// collapses.
 std::vector<NodeId> RandomQueryPool(const MvIndex& index, BddManager* qmgr,
-                                    size_t count) {
+                                    size_t count, uint32_t seed = 0xA5F00Du) {
   const auto& order = *index.manager().order();
   const uint32_t levels = static_cast<uint32_t>(order.num_levels());
-  std::mt19937 rng(0xA5F00Du);
+  std::mt19937 rng(seed);
   auto rand_lit = [&]() {
     const VarId v = order.var_at_level(static_cast<int32_t>(rng() % levels));
     const NodeId lit = qmgr->MkVar(v);
@@ -191,48 +183,77 @@ std::vector<NodeId> RandomQueryPool(const MvIndex& index, BddManager* qmgr,
   return pool;
 }
 
-TEST(IntersectKernelTest, RandomizedQueriesFastMatchesClassicBitwise) {
+TEST(IntersectKernelTest, RandomizedQueriesMatchRecursiveMVIntersect) {
   SharedWorkload& s = Shared();
-  MvIndex& index = s.engine->mutable_index();
-  BddManager qmgr(index.manager().order());
+  const MvIndex& index = s.engine->index();
+  // The recursive MVIntersect reads query nodes from the index's own
+  // manager, so the pool is built there and both sweeps take its roots.
+  BddManager& qmgr = s.engine->manager();
   const std::vector<NodeId> pool = RandomQueryPool(index, &qmgr, 200);
 
+  const ScaledDouble denom = index.ProbNotWScaled();
   CcSweepScratch scratch;
   size_t nontrivial = 0;
   for (size_t i = 0; i < pool.size(); ++i) {
-    const CcQuery q{&qmgr, pool[i]};
-    index.set_use_fast_intersect(false);
-    const ScaledDouble classic = index.CCMVIntersectScaled(q, &scratch);
-    index.set_use_fast_intersect(true);
-    const ScaledDouble fast = index.CCMVIntersectScaled(q, &scratch);
-    EXPECT_TRUE(SameBits(fast, classic)) << "query " << i;
-    if (!classic.IsZero()) ++nontrivial;
+    const double cc =
+        (index.CCMVIntersectScaled(CcQuery{&qmgr, pool[i]}, &scratch) / denom)
+            .ToDouble();
+    const double rec =
+        (index.MVIntersectScaled(pool[i]) / denom).ToDouble();
+    EXPECT_NEAR(cc, rec, 1e-12 * std::max(1.0, std::abs(rec)))
+        << "query " << i;
+    if (rec != 0.0) ++nontrivial;
   }
   // The pool must actually exercise the sweep, not collapse to constants.
   EXPECT_GT(nontrivial, pool.size() / 2);
 }
 
-TEST(IntersectKernelTest, BatchOfNMatchesNSoloUnderBothHatchStates) {
+TEST(IntersectKernelTest, BatchOfNMatchesNSolo) {
   SharedWorkload& s = Shared();
-  MvIndex& index = s.engine->mutable_index();
+  const MvIndex& index = s.engine->index();
   BddManager qmgr(index.manager().order());
   const std::vector<NodeId> pool = RandomQueryPool(index, &qmgr, 64);
   std::vector<CcQuery> batch;
   for (const NodeId root : pool) batch.push_back(CcQuery{&qmgr, root});
 
-  for (const bool fast : {false, true}) {
-    index.set_use_fast_intersect(fast);
-    CcSweepScratch scratch;
-    std::vector<ScaledDouble> batched;
-    index.CCMVIntersectBatchScaled(batch, &scratch, &batched);
-    ASSERT_EQ(batched.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const ScaledDouble solo = index.CCMVIntersectScaled(batch[i], &scratch);
-      EXPECT_TRUE(SameBits(batched[i], solo))
-          << "root " << i << " fast=" << fast;
-    }
+  CcSweepScratch scratch;
+  std::vector<ScaledDouble> batched;
+  index.CCMVIntersectBatchScaled(batch, &scratch, &batched);
+  ASSERT_EQ(batched.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const ScaledDouble solo = index.CCMVIntersectScaled(batch[i], &scratch);
+    EXPECT_TRUE(SameBits(batched[i], solo)) << "root " << i;
   }
-  index.set_use_fast_intersect(true);
+}
+
+TEST(IntersectKernelTest, ReusedScratchMatchesFreshScratchBitwise) {
+  // One scratch carried across 200 queries of mixed width (its heap and
+  // memo grow, shrink and rehash in a history no fresh scratch sees) must
+  // give the same bits as a fresh scratch per query. Queries alternate
+  // between two managers holding different pools, so one NodeId names
+  // different query nodes from one query to the next.
+  SharedWorkload& s = Shared();
+  const MvIndex& index = s.engine->index();
+  BddManager qmgr_a(index.manager().order());
+  BddManager qmgr_b(index.manager().order());
+  const std::vector<NodeId> pool_a = RandomQueryPool(index, &qmgr_a, 100);
+  std::vector<NodeId> pool_b =
+      RandomQueryPool(index, &qmgr_b, 100, /*seed=*/0x5EED2u);
+  // Widen half of the second pool: ORs of pool entries give multi-entry
+  // frontiers.
+  for (size_t i = 0; i + 1 < pool_b.size(); i += 2) {
+    pool_b[i] = qmgr_b.Or(pool_b[i], pool_b[i + 1]);
+  }
+
+  CcSweepScratch reused;
+  for (size_t i = 0; i < 200; ++i) {
+    const CcQuery q = (i % 2 == 0) ? CcQuery{&qmgr_a, pool_a[i / 2]}
+                                   : CcQuery{&qmgr_b, pool_b[i / 2]};
+    CcSweepScratch fresh;
+    const ScaledDouble want = index.CCMVIntersectScaled(q, &fresh);
+    EXPECT_TRUE(SameBits(index.CCMVIntersectScaled(q, &reused), want))
+        << "query " << i;
+  }
 }
 
 /// One full offline build with a given thread count and hatch setting.
@@ -260,7 +281,6 @@ BuiltCell BuildCell(int threads, bool kernels_on) {
   copts.use_fused_translate = kernels_on;
   copts.use_radix_order = kernels_on;
   copts.use_presorted_synthesis = kernels_on;
-  copts.use_fast_intersect = kernels_on;
   MVDB_CHECK(cell.engine->Compile(copts).ok());
   const MvIndex& index = cell.engine->index();
   cell.layout_hash = HashLayout(index.flat());
@@ -291,7 +311,7 @@ BuiltCell BuildCell(int threads, bool kernels_on) {
 }
 
 TEST(IntersectKernelTest, BuildKernelParityAcrossThreadCounts) {
-  // All four build/serve kernels on vs all off, across thread counts
+  // All three build kernels on vs all off, across thread counts
   // {1, 2, 8, 0} (0 = one shard per hardware thread): the flat layout, the
   // block chain, P0(NOT W), and the answer bits of a full query must be
   // identical everywhere.

@@ -2,10 +2,66 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "prob/lineage.h"
 
 namespace mvdb {
 namespace {
+
+/// The all-pairs normalization the indexed one replaces, kept as its
+/// oracle: sort the (pos, neg) clause pairs, drop duplicates, then keep a
+/// clause unless an earlier kept clause is a subset on both sides.
+std::pair<std::vector<Clause>, std::vector<Clause>> QuadraticNormalize(
+    const std::vector<Clause>& pos_in, const std::vector<Clause>& neg_in) {
+  std::vector<size_t> order(pos_in.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (pos_in[a] != pos_in[b]) return pos_in[a] < pos_in[b];
+    return neg_in[a] < neg_in[b];
+  });
+  std::vector<Clause> pos, neg;
+  for (size_t i : order) {
+    if (!pos.empty() && pos.back() == pos_in[i] && neg.back() == neg_in[i]) {
+      continue;
+    }
+    pos.push_back(pos_in[i]);
+    neg.push_back(neg_in[i]);
+  }
+  std::vector<Clause> kept_pos, kept_neg;
+  for (size_t j = 0; j < pos.size(); ++j) {
+    bool absorbed = false;
+    for (size_t i = 0; i < kept_pos.size() && !absorbed; ++i) {
+      absorbed = std::includes(pos[j].begin(), pos[j].end(),
+                               kept_pos[i].begin(), kept_pos[i].end()) &&
+                 std::includes(neg[j].begin(), neg[j].end(),
+                               kept_neg[i].begin(), kept_neg[i].end());
+    }
+    if (!absorbed) {
+      kept_pos.push_back(pos[j]);
+      kept_neg.push_back(neg[j]);
+    }
+  }
+  return {kept_pos, kept_neg};
+}
+
+/// A random signed clause over vars [0, num_vars): `width` literals, each
+/// negated with probability 1/4 (contradictory clauses are dropped by
+/// AddSignedClause, as in real lineage).
+void AddRandomSignedClause(std::mt19937* rng, int num_vars, size_t width,
+                           Lineage* l) {
+  Clause pos, neg;
+  for (size_t k = 0; k < width; ++k) {
+    const VarId v =
+        static_cast<VarId>((*rng)() % static_cast<uint32_t>(num_vars));
+    ((*rng)() % 4 == 0 ? neg : pos).push_back(v);
+  }
+  l->AddSignedClause(std::move(pos), std::move(neg));
+}
 
 TEST(LineageTest, EmptyIsFalse) {
   Lineage l;
@@ -96,6 +152,41 @@ TEST(LineageTest, Fig3Lineage) {
   EXPECT_EQ(l.NumDistinctVars(), 6u);
   EXPECT_TRUE(l.Eval({true, false, false, true, false, false}));
   EXPECT_FALSE(l.Eval({true, true, false, false, false, false}));
+}
+
+TEST(LineageTest, NormalizeMatchesQuadraticAbsorptionOnRandomSignedClauses) {
+  // Small variable ranges and mixed widths (0..4 literals) make absorption,
+  // duplicates, negative-only clauses and the empty clause all common.
+  std::mt19937 rng(0x11AE);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int num_vars = 3 + trial % 10;
+    const size_t clauses = 1 + rng() % 40;
+    Lineage l;
+    for (size_t c = 0; c < clauses; ++c) {
+      AddRandomSignedClause(&rng, num_vars, rng() % 5, &l);
+    }
+    const auto [want_pos, want_neg] =
+        QuadraticNormalize(l.clauses(), l.neg_clauses());
+    l.Normalize();
+    EXPECT_EQ(l.clauses(), want_pos) << "trial " << trial;
+    EXPECT_EQ(l.neg_clauses(), want_neg) << "trial " << trial;
+  }
+}
+
+TEST(LineageTest, NormalizeScalesToWLineageSize) {
+  // 150K random 3-literal clauses, about the W-lineage of a 200K-author
+  // DBLP instance. The all-pairs scan takes about a minute here; the ctest
+  // TIMEOUT on this binary is what fails a regression to it.
+  std::mt19937 rng(0x150C);
+  Lineage l;
+  for (size_t c = 0; c < 150000; ++c) {
+    AddRandomSignedClause(&rng, 100000, 3, &l);
+  }
+  const size_t before = l.size();
+  l.Normalize();
+  EXPECT_GT(l.size(), before / 2);
+  EXPECT_LE(l.size(), before);
+  EXPECT_TRUE(std::is_sorted(l.clauses().begin(), l.clauses().end()));
 }
 
 }  // namespace

@@ -90,6 +90,25 @@ TEST(BddManagerTest, NotSurvivesChainDeeperThanTheStack) {
   EXPECT_EQ(mgr.Not(not_chain), chain);  // involution through the cache
 }
 
+TEST(BddManagerTest, ApplySurvivesChainDeeperThanTheStack) {
+  // Apply must not recurse once per level either: combining a 400K-level
+  // clause chain with its bottom variable descends through every level.
+  const int n = 400000;
+  BddManager mgr(Identity(n));
+  Clause all;
+  all.reserve(static_cast<size_t>(n));
+  for (int v = 0; v < n; ++v) all.push_back(static_cast<VarId>(v));
+  const NodeId chain = mgr.FromClause(all);
+  const NodeId bottom = mgr.MkVar(static_cast<VarId>(n - 1));
+  EXPECT_EQ(mgr.Or(chain, bottom), bottom);   // x_{n-1} v (... ^ x_{n-1})
+  EXPECT_EQ(mgr.And(chain, bottom), chain);   // absorbed into the chain
+  const NodeId not_bottom = mgr.Not(bottom);
+  EXPECT_EQ(mgr.And(chain, not_bottom), BddManager::kFalse);
+  EXPECT_EQ(mgr.Or(chain, not_bottom),
+            mgr.Or(not_bottom, mgr.FromClause(Clause(all.begin(),
+                                                     all.end() - 1))));
+}
+
 TEST(BddManagerTest, ConcatOrEqualsOrOnDisjointRanges) {
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
