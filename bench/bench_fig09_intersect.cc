@@ -41,7 +41,8 @@ bool PrintSeries() {
   for (int n : AidDomainSweep()) {
     Workload w = MakeWorkload(SweepConfig(n));
     const Lineage q = WorstCaseLineage(*w.mvdb);
-    const NodeId qb = w.engine->manager().FromLineageSynthesis(q);
+    BddManager qmgr(w.engine->index().manager().order());
+    const CcQuery qb{&qmgr, qmgr.FromLineageSynthesis(q)};
 
     // Compare final Eq. 5 probabilities: the raw numerators leave double
     // range by design (extended-range arithmetic; the ratio is ordinary).
@@ -55,18 +56,18 @@ bool PrintSeries() {
     const double td_s = td_timer.Seconds() / kReps;
     const double td = (td_num / denom).ToDouble();
 
+    CcSweepScratch scratch;
     Timer cc_timer;
     ScaledDouble cc_num;
     for (int i = 0; i < kReps; ++i) {
-      cc_num = w.engine->index().CCMVIntersectScaled(qb);
+      cc_num = w.engine->index().CCMVIntersectScaled(qb, &scratch);
     }
     const double cc_s = cc_timer.Seconds() / kReps;
     const double cc = (cc_num / denom).ToDouble();
 
     // The serving layer's batch call: 8 in-flight copies of the worst-case
     // query through one CCMVIntersectBatchScaled over one scratch.
-    const std::vector<CcQuery> batch(8, CcQuery{&w.engine->manager(), qb});
-    CcSweepScratch scratch;
+    const std::vector<CcQuery> batch(8, qb);
     std::vector<ScaledDouble> out;
     Timer batch_timer;
     for (int i = 0; i < kReps / 8; ++i) {
@@ -95,7 +96,8 @@ bool PrintSeries() {
 void BM_MVIntersect(benchmark::State& state) {
   Workload w = MakeWorkload(SweepConfig(static_cast<int>(state.range(0))));
   const Lineage q = WorstCaseLineage(*w.mvdb);
-  const NodeId qb = w.engine->manager().FromLineageSynthesis(q);
+  BddManager qmgr(w.engine->index().manager().order());
+  const CcQuery qb{&qmgr, qmgr.FromLineageSynthesis(q)};
   for (auto _ : state) {
     benchmark::DoNotOptimize(w.engine->index().MVIntersectScaled(qb));
   }
@@ -105,9 +107,12 @@ BENCHMARK(BM_MVIntersect)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
 void BM_CCMVIntersect(benchmark::State& state) {
   Workload w = MakeWorkload(SweepConfig(static_cast<int>(state.range(0))));
   const Lineage q = WorstCaseLineage(*w.mvdb);
-  const NodeId qb = w.engine->manager().FromLineageSynthesis(q);
+  BddManager qmgr(w.engine->index().manager().order());
+  const CcQuery qb{&qmgr, qmgr.FromLineageSynthesis(q)};
+  CcSweepScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(w.engine->index().CCMVIntersectScaled(qb));
+    benchmark::DoNotOptimize(
+        w.engine->index().CCMVIntersectScaled(qb, &scratch));
   }
 }
 BENCHMARK(BM_CCMVIntersect)->Arg(1000)->Arg(10000)
@@ -119,8 +124,9 @@ BENCHMARK(BM_CCMVIntersect)->Arg(1000)->Arg(10000)
 void BM_CCMVIntersectBatch8(benchmark::State& state) {
   Workload w = MakeWorkload(SweepConfig(static_cast<int>(state.range(0))));
   const Lineage q = WorstCaseLineage(*w.mvdb);
-  const NodeId qb = w.engine->manager().FromLineageSynthesis(q);
-  const std::vector<CcQuery> batch(8, CcQuery{&w.engine->manager(), qb});
+  BddManager qmgr(w.engine->index().manager().order());
+  const std::vector<CcQuery> batch(
+      8, CcQuery{&qmgr, qmgr.FromLineageSynthesis(q)});
   CcSweepScratch scratch;
   std::vector<ScaledDouble> out;
   for (auto _ : state) {

@@ -43,7 +43,6 @@ void RunTenQueries() {
     return;
   }
   // One shared query shape: the first query plans, the other nine hit.
-  w.engine->EnablePlanCache(64);
 
   std::printf("%-6s %-14s %10s %10s  %s\n", "query", "author", "answers",
               "time(ms)", "plan");

@@ -26,10 +26,10 @@ double ClampProb(double p) {
 Status QueryEngine::Compile(const CompileOptions& options) {
   if (compiled()) return Status::OK();
   // Phase accounting: every instruction between here and the return lives
-  // inside exactly one of the six phase windows (translate / order inside
-  // this function, partition / compile / stitch / import inside
-  // MvIndex::Build), so the phase seconds sum to total_seconds up to
-  // clock-read noise — engine_scale_test asserts it.
+  // inside exactly one of the phase windows (translate / order inside this
+  // function, partition / compile / stitch inside MvIndex::Build), so the
+  // phase seconds sum to total_seconds up to clock-read noise —
+  // engine_scale_test asserts it.
   Timer total_timer;
   // Phase 1: MVDB -> INDB translation, sharded over the compile thread
   // budget (bit-identical output for any thread count).
@@ -55,8 +55,8 @@ Status QueryEngine::Compile(const CompileOptions& options) {
   const double order_seconds = timer.Seconds();
   MVDB_ASSIGN_OR_RETURN(
       index_, MvIndex::Build(db, mvdb_->W(), mgr_.get(), var_probs_, options));
-  // Phase 2 bookkeeping: Build timed partition/compile/stitch/import; the
-  // engine owns the front-end phases it ran above.
+  // Phase 2 bookkeeping: Build timed partition/compile/stitch; the engine
+  // owns the front-end phases it ran above.
   index_->mutable_build_stats().translate_seconds = translate_seconds;
   index_->mutable_build_stats().order_seconds = order_seconds;
   index_->mutable_build_stats().total_seconds = total_timer.Seconds();
@@ -214,11 +214,17 @@ Status QueryEngine::ApplyDelta(const std::vector<DeltaOp>& ops,
   if (effects.changed_weight_vars.empty() && effects.new_vars.empty()) {
     return applied;
   }
-  if (server != nullptr) server->Pause();
+  // The engine's read server exists only once a read created it; it is
+  // quiesced and refreshed exactly like the caller's.
+  Server* const servers[] = {server, server_.get()};
+  for (Server* s : servers) {
+    if (s != nullptr) s->Pause();
+  }
   const Status maintained = MaintainIndex(effects);
-  if (server != nullptr) {
-    if (effects.structural()) server->InvalidatePlans();
-    server->Resume();
+  for (Server* s : servers) {
+    if (s == nullptr) continue;
+    if (effects.structural()) s->InvalidatePlans();
+    s->Resume();
   }
   MVDB_RETURN_NOT_OK(applied);
   return maintained;
@@ -234,7 +240,7 @@ Status QueryEngine::MaintainIndex(const DeltaEffects& effects) {
   }
   if (!effects.structural()) {
     // Weight-only: lineages, plans, and W's structure are untouched —
-    // w_lineage_ and the plan cache stay warm by design.
+    // w_lineage_ and the servers' plan caches stay warm by design.
     return index_->ApplyWeightDelta(effects.changed_weight_vars, var_probs_);
   }
 
@@ -271,19 +277,17 @@ Status QueryEngine::MaintainIndex(const DeltaEffects& effects) {
   MVDB_RETURN_NOT_OK(
       index_->ApplyStructuralDelta(db, w, new_mgr.get(), var_probs_, dirty));
   mgr_ = std::move(new_mgr);
-  // W's lineage gained derivations; cached plans were costed against the
-  // old table statistics. Both rebuild lazily.
+  // W's lineage gained derivations; it rebuilds lazily. (ApplyDelta drops
+  // the servers' cached plans, which were costed against the old table
+  // statistics.)
   w_lineage_.reset();
-  if (plan_cache_ != nullptr) {
-    plan_cache_ = std::make_unique<PlanCache>(plan_cache_->stats().capacity);
-  }
   return Status::OK();
 }
 
 StatusOr<const Lineage*> QueryEngine::WLineage() {
   MVDB_RETURN_NOT_OK(Compile());
   if (!w_lineage_.has_value()) {
-    MVDB_ASSIGN_OR_RETURN(Lineage lin, CachedEvalBoolean(mvdb_->W()));
+    MVDB_ASSIGN_OR_RETURN(Lineage lin, EvalBoolean(mvdb_->db(), mvdb_->W()));
     w_lineage_ = std::move(lin);
   }
   return &*w_lineage_;
@@ -295,35 +299,17 @@ StatusOr<std::unique_ptr<Server>> QueryEngine::Serve(
   return std::make_unique<Server>(&mvdb_->db(), index_.get(), options);
 }
 
-void QueryEngine::EnablePlanCache(size_t capacity) {
-  if (plan_cache_ == nullptr || plan_cache_->stats().capacity != capacity) {
-    plan_cache_ = std::make_unique<PlanCache>(capacity);
+StatusOr<std::vector<AnswerProb>> QueryEngine::ServeRead(const Ucq& q) {
+  if (server_ == nullptr) {
+    ServeOptions opts;
+    opts.start_workers = false;  // Execute runs in the caller's thread
+    server_ = std::make_unique<Server>(&mvdb_->db(), index_.get(), opts);
   }
-}
-
-Status QueryEngine::CachedEval(const Ucq& q, AnswerMap* out) {
-  if (plan_cache_ == nullptr) {
-    return Eval(mvdb_->db(), q, EvalOptions{}, out);
-  }
-  const UcqSignature sig = ComputeUcqSignature(q);
-  auto tmpl = plan_cache_->GetOrPlan(mvdb_->db(), q, sig, EvalOptions{});
-  MVDB_RETURN_NOT_OK(tmpl.status());
-  EvalScratch scratch;
-  // Execute with the query's own slot binding: bit-identical to Eval(q)
-  // (the PR-5 template invariant), so caching never changes answers.
-  return (*tmpl)->Execute(sig.slots, &scratch, out);
-}
-
-StatusOr<Lineage> QueryEngine::CachedEvalBoolean(const Ucq& q) {
-  if (plan_cache_ == nullptr) return EvalBoolean(mvdb_->db(), q);
-  if (!q.IsBoolean()) {
-    return Status::InvalidArgument("EvalBoolean requires a Boolean query");
-  }
-  AnswerMap answers;
-  MVDB_RETURN_NOT_OK(CachedEval(q, &answers));
-  if (answers.empty()) return Lineage();
-  MVDB_CHECK_EQ(answers.size(), 1u);
-  return answers.begin()->second.lineage;
+  ServeRequest req;
+  req.query = q;
+  ServeResult res = server_->Execute(req);
+  MVDB_RETURN_NOT_OK(res.status);
+  return std::move(res.answers);
 }
 
 StatusOr<ScaledDouble> QueryEngine::Numerator(const Lineage& q_lineage,
@@ -341,13 +327,12 @@ StatusOr<ScaledDouble> QueryEngine::Numerator(const Lineage& q_lineage,
       return mgr_->ProbScaled(mgr_->And(qb, not_w), var_probs_);
     }
     case Backend::kMvIndex: {
-      const NodeId qb = mgr_->FromLineageSynthesis(q_lineage);
-      return index_->MVIntersectScaled(qb);
+      BddManager qmgr(index_->manager().order());
+      return index_->MVIntersectScaled(
+          CcQuery{&qmgr, qmgr.FromLineageSynthesis(q_lineage)});
     }
-    case Backend::kMvIndexCC: {
-      const NodeId qb = mgr_->FromLineageSynthesis(q_lineage);
-      return index_->CCMVIntersectScaled(qb);
-    }
+    case Backend::kMvIndexCC:
+      break;  // served by ServeRead, never here
     case Backend::kSafePlan: {
       // P0(Q v W) - P0(W) via lifted inference on both queries. Runs in
       // plain double: the lifted recursion multiplies per-value factors
@@ -369,8 +354,9 @@ StatusOr<ScaledDouble> QueryEngine::Numerator(const Lineage& q_lineage,
 StatusOr<std::vector<AnswerProb>> QueryEngine::Query(const Ucq& q,
                                                      Backend backend) {
   MVDB_RETURN_NOT_OK(Compile());
+  if (backend == Backend::kMvIndexCC) return ServeRead(q);
   AnswerMap answers;
-  MVDB_RETURN_NOT_OK(CachedEval(q, &answers));
+  MVDB_RETURN_NOT_OK(Eval(mvdb_->db(), q, EvalOptions{}, &answers));
   const ScaledDouble denom = index_->ProbNotWScaled();
   if (denom.IsZero()) {
     return Status::Internal("P0(NOT W) = 0: the MVDB admits no possible world");
@@ -404,28 +390,29 @@ StatusOr<double> QueryEngine::ConditionalBoolean(const Ucq& q1, const Ucq& q2,
     return Status::InvalidArgument("ConditionalBoolean requires Boolean queries");
   }
   MVDB_RETURN_NOT_OK(Compile());
-  MVDB_ASSIGN_OR_RETURN(Lineage lin1, CachedEvalBoolean(q1));
-  MVDB_ASSIGN_OR_RETURN(Lineage lin2, CachedEvalBoolean(q2));
+  MVDB_ASSIGN_OR_RETURN(Lineage lin1, EvalBoolean(mvdb_->db(), q1));
+  MVDB_ASSIGN_OR_RETURN(Lineage lin2, EvalBoolean(mvdb_->db(), q2));
   // Numerators share the denominator P0(NOT W), which cancels:
-  // P(Q1 | Q2) = P0(Q1 ^ Q2 ^ !W) / P0(Q2 ^ !W).
-  const NodeId b1 = mgr_->FromLineageSynthesis(lin1);
-  const NodeId b2 = mgr_->FromLineageSynthesis(lin2);
-  const NodeId joint = mgr_->And(b1, b2);
+  // P(Q1 | Q2) = P0(Q1 ^ Q2 ^ !W) / P0(Q2 ^ !W). The index backends work in
+  // a fresh manager over the index's order, like a served read.
+  const bool on_index =
+      backend == Backend::kMvIndex || backend == Backend::kMvIndexCC;
+  BddManager qmgr(index_->manager().order());
+  BddManager& m = on_index ? qmgr : *mgr_;
+  const NodeId b2 = m.FromLineageSynthesis(lin2);
+  const NodeId joint = m.And(m.FromLineageSynthesis(lin1), b2);
   ScaledDouble num, den;
-  switch (backend) {
-    case Backend::kMvIndex:
-      num = index_->MVIntersectScaled(joint);
-      den = index_->MVIntersectScaled(b2);
-      break;
-    case Backend::kMvIndexCC:
-      num = index_->CCMVIntersectScaled(joint);
-      den = index_->CCMVIntersectScaled(b2);
-      break;
-    default: {
-      const NodeId not_w = index_->EnsureChainImported();
-      num = mgr_->ProbScaled(mgr_->And(joint, not_w), var_probs_);
-      den = mgr_->ProbScaled(mgr_->And(b2, not_w), var_probs_);
-    }
+  if (backend == Backend::kMvIndex) {
+    num = index_->MVIntersectScaled(CcQuery{&qmgr, joint});
+    den = index_->MVIntersectScaled(CcQuery{&qmgr, b2});
+  } else if (backend == Backend::kMvIndexCC) {
+    CcSweepScratch scratch;
+    num = index_->CCMVIntersectScaled(CcQuery{&qmgr, joint}, &scratch);
+    den = index_->CCMVIntersectScaled(CcQuery{&qmgr, b2}, &scratch);
+  } else {
+    const NodeId not_w = index_->EnsureChainImported();
+    num = mgr_->ProbScaled(mgr_->And(joint, not_w), var_probs_);
+    den = mgr_->ProbScaled(mgr_->And(b2, not_w), var_probs_);
   }
   if (den.IsZero()) {
     return Status::InvalidArgument("conditioning event has probability zero");
@@ -436,7 +423,7 @@ StatusOr<double> QueryEngine::ConditionalBoolean(const Ucq& q1, const Ucq& q2,
 StatusOr<QueryEngine::Explanation> QueryEngine::Explain(const Ucq& q) {
   MVDB_RETURN_NOT_OK(Compile());
   AnswerMap answers;
-  MVDB_RETURN_NOT_OK(CachedEval(q, &answers));
+  MVDB_RETURN_NOT_OK(Eval(mvdb_->db(), q, EvalOptions{}, &answers));
   Explanation out{};
   out.index_blocks = index_->blocks().size();
   std::vector<VarId> all_vars;
@@ -486,17 +473,10 @@ StatusOr<double> QueryEngine::QueryBoolean(const Ucq& q, Backend backend) {
   if (!q.IsBoolean()) {
     return Status::InvalidArgument("QueryBoolean requires a Boolean query");
   }
-  MVDB_RETURN_NOT_OK(Compile());
-  MVDB_ASSIGN_OR_RETURN(Lineage lin, CachedEvalBoolean(q));
-  const ScaledDouble denom = index_->ProbNotWScaled();
-  if (denom.IsZero()) {
-    return Status::Internal("P0(NOT W) = 0: the MVDB admits no possible world");
-  }
-  MVDB_ASSIGN_OR_RETURN(ScaledDouble num, Numerator(lin, q, backend));
-  if (backend == Backend::kSafePlan || backend == Backend::kBruteForce) {
-    return ClampProb(num.ToDouble() / denom.ToDouble());
-  }
-  return ClampProb((num / denom).ToDouble());
+  // A Boolean query has at most one answer, with the empty head; no
+  // answer means no derivation, probability 0.
+  MVDB_ASSIGN_OR_RETURN(std::vector<AnswerProb> answers, Query(q, backend));
+  return answers.empty() ? 0.0 : answers.front().prob;
 }
 
 }  // namespace mvdb

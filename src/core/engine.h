@@ -16,10 +16,14 @@
 //       P(Q(a)) = (P0(Q v W) - P0(W)) / (1 - P0(W))
 //               = P0(Q ^ NOT W) / P0(NOT W)
 //
-//   where the numerator comes from one of several interchangeable backends
-//   (brute force / reused W OBDD / MV-index MVIntersect / CC-MVIntersect /
-//   lifted safe plans) — they agree to floating-point accuracy, which the
-//   property tests assert.
+//   The default read (Backend::kMvIndexCC) is the serving executor's: the
+//   engine runs it through Server::Execute on a server it owns, so an
+//   engine answer is bit-identical to a served one and a read leaves no
+//   state behind in the engine (every query OBDD lives in a per-request
+//   manager). The other backends are oracles that compute the same
+//   numerator another way — brute force, the reused W OBDD, the top-down
+//   MVIntersect, lifted safe plans — and agree to floating-point accuracy,
+//   which the property tests assert.
 
 #ifndef MVDB_CORE_ENGINE_H_
 #define MVDB_CORE_ENGINE_H_
@@ -35,18 +39,20 @@
 #include "obdd/manager.h"
 #include "obdd/order.h"
 #include "query/eval.h"
-#include "serve/plan_cache.h"
 #include "serve/server.h"
 #include "util/status.h"
 
 namespace mvdb {
 
-/// Numerator evaluation strategy for Eq. 5.
+/// Oracle switch for the Eq. 5 numerator. kMvIndexCC is the served path;
+/// every other value is a cross-check that computes the same number by an
+/// independent algorithm (tests and ablation benches compare them).
 enum class Backend {
   kBruteForce,   ///< exhaustive enumeration over the joint lineage (tests)
-  kObddReuse,    ///< synthesis of Q against the precompiled W OBDD
-  kMvIndex,      ///< MV-index, top-down MVIntersect
-  kMvIndexCC,    ///< MV-index, cache-conscious forward sweep
+  kObddReuse,    ///< synthesis of Q against the W OBDD in the engine's
+                 ///< manager (imports the chain there on first use)
+  kMvIndex,      ///< MV-index, top-down MVIntersect (Fig. 9 baseline)
+  kMvIndexCC,    ///< MV-index, cache-conscious sweep: Server::Execute
   kSafePlan,     ///< lifted inference on Q v W and W (safe queries only)
 };
 
@@ -115,8 +121,8 @@ class QueryEngine {
   /// refreshed snapshot (order, Eq. 5 denominator, warm table indexes);
   /// its plan cache is invalidated only when the delta is structural —
   /// plans are value-independent, so weight moves keep it warm. The
-  /// engine-side caches follow the same rule (w_lineage_ and the query
-  /// plan cache survive weight-only deltas).
+  /// engine's own read server, once a read has created it, is handled the
+  /// same way; w_lineage_ also survives weight-only deltas.
   ///
   /// On a non-OK return the database may hold an applied prefix of `ops`
   /// while the index does not reflect it; the typed code says why
@@ -168,22 +174,21 @@ class QueryEngine {
   const MvIndex& index() const { return *index_; }
   /// Mutable access to the compiled index (e.g. EnsureChainImported).
   MvIndex& mutable_index() { return *index_; }
-  BddManager& manager() { return *mgr_; }
+  /// The global variable order's manager. Read-only: reads synthesize their
+  /// query OBDDs into per-request managers sharing its order; only the
+  /// oracles that work on the W OBDD (kObddReuse, and ConditionalBoolean
+  /// on a non-index backend) grow it.
+  const BddManager& manager() const { return *mgr_; }
 
   /// Builds an online serving layer over the compiled index (compiling
   /// first if needed): plan cache, bounded-queue scheduler with deadlines
   /// and shedding, batched CC sweep. The engine must outlive the server.
   StatusOr<std::unique_ptr<Server>> Serve(const ServeOptions& options = {});
 
-  /// Routes this engine's own query-side Eval calls (Query, QueryBoolean,
-  /// ConditionalBoolean, Explain, WLineage) through a plan cache, so
-  /// repeated query shapes skip the cost-based planner. Results are
-  /// bit-identical with the cache on or off (plan_cache_test asserts it).
-  void EnablePlanCache(size_t capacity = 128);
-  void DisablePlanCache() { plan_cache_.reset(); }
-  /// Zeroed stats when the cache is disabled.
+  /// Plan-cache counters of the engine's own read server (zeroed before the
+  /// first kMvIndexCC read creates it).
   PlanCacheStats plan_cache_stats() const {
-    return plan_cache_ != nullptr ? plan_cache_->stats() : PlanCacheStats{};
+    return server_ != nullptr ? server_->plan_cache_stats() : PlanCacheStats{};
   }
 
   /// Lineage of W (computed lazily; large — Fig. 4 measures its size).
@@ -204,12 +209,13 @@ class QueryEngine {
   /// Index maintenance for an applied delta (ApplyDelta's second half).
   Status MaintainIndex(const DeltaEffects& effects);
 
+  /// The kMvIndexCC read: Server::Execute on the engine's read server,
+  /// created (workers not started) on the first call.
+  StatusOr<std::vector<AnswerProb>> ServeRead(const Ucq& q);
+
+  /// An oracle backend's numerator (any backend but kMvIndexCC).
   StatusOr<ScaledDouble> Numerator(const Lineage& q_lineage,
                                    const Ucq& q_grounded_or_w, Backend backend);
-
-  /// Eval / EvalBoolean, via the plan cache when enabled (bit-identical).
-  Status CachedEval(const Ucq& q, AnswerMap* out);
-  StatusOr<Lineage> CachedEvalBoolean(const Ucq& q);
 
   Mvdb* mvdb_;
   OrderSpec order_spec_;
@@ -218,7 +224,8 @@ class QueryEngine {
   std::unique_ptr<MvIndex> index_;
   std::vector<double> var_probs_;
   std::optional<Lineage> w_lineage_;
-  std::unique_ptr<PlanCache> plan_cache_;
+  /// Declared last: destroyed before the index and database it reads.
+  std::unique_ptr<Server> server_;
 };
 
 }  // namespace mvdb

@@ -415,7 +415,7 @@ StatusOr<std::unique_ptr<MvIndex>> MvIndex::Build(
                                    &index->block_suffix_, &stats.merged));
   // Release the large per-task containers here so their teardown (200K
   // keys, blocks and plans at DBLP scale) is attributed to the stitch
-  // phase instead of falling between import_seconds and the engine's total
+  // phase instead of falling outside every phase of the engine's total
   // clock — the phase timings are required to sum to the build wall time.
   partition = PartitionResult{};
   task_plans = {};
@@ -423,13 +423,6 @@ StatusOr<std::unique_ptr<MvIndex>> MvIndex::Build(
   templates.clear();
   compiled = {};
   stats.stitch_seconds = timer.Seconds();
-
-  // Register the chain in the online manager: one reserve-ahead bulk append
-  // (nodes + unique table sized up front, no mid-import rehash).
-  timer.Restart();
-  index->not_w_root_ = index->flat_->ImportInto(mgr);
-  index->chain_imported_ = true;
-  stats.import_seconds = timer.Seconds();
   stats.blocks = index->blocks_.size();
   stats.flat_nodes = index->flat_->size();
   stats.flat_bytes = index->flat_->MemoryBytes();
@@ -437,12 +430,13 @@ StatusOr<std::unique_ptr<MvIndex>> MvIndex::Build(
 }
 
 NodeId MvIndex::EnsureChainImported() {
-  // Loaded indexes defer this bulk append: only the kObddReuse baseline
-  // needs the chain materialized inside the manager. Concurrent first-use
-  // callers serialize here — the unguarded version let two serving workers
-  // race the import, mutating the shared manager from both threads and
-  // potentially publishing not_w_root_ before the import that produced it
-  // finished (tsan_chain_import_test pins the fix).
+  // Built and loaded indexes alike defer this bulk append (one
+  // reserve-ahead import: nodes and unique table sized up front): only the
+  // kObddReuse baseline needs the chain materialized inside the manager.
+  // Concurrent first-use callers serialize here — the unguarded version let
+  // two serving workers race the import, mutating the shared manager from
+  // both threads and potentially publishing not_w_root_ before the import
+  // that produced it finished (tsan_chain_import_test pins the fix).
   std::lock_guard<std::mutex> lock(chain_import_mu_);
   if (!chain_imported_) {
     not_w_root_ = flat_->ImportInto(mgr_);
@@ -797,57 +791,67 @@ uint64_t PairKey(NodeId q, FlatId u) {
 
 }  // namespace
 
-ScaledDouble MvIndex::MVIntersectScaled(NodeId q_root) const {
-  if (q_root == BddManager::kFalse) return ScaledDouble::Zero();
-  if (q_root == BddManager::kTrue) return ProbNotWScaled();
+ScaledDouble MvIndex::MVIntersectScaled(const CcQuery& q) const {
+  const BddManager& qmgr = *q.mgr;
+  if (q.root == BddManager::kFalse) return ScaledDouble::Zero();
+  if (q.root == BddManager::kTrue) return ProbNotWScaled();
   std::unordered_map<NodeId, double> qmemo;
   ScaledDouble prefix;
   FlatId start;
-  FastForward(mgr_->level(q_root), &prefix, &start);
+  FastForward(qmgr.level(q.root), &prefix, &start);
   if (start == kFlatTrue) {
-    return prefix * ScaledDouble(ProbQ(*mgr_, q_root, &qmemo));
+    return prefix * ScaledDouble(ProbQ(qmgr, q.root, &qmemo));
   }
   if (start == kFlatFalse) return ScaledDouble::Zero();
 
+  // P(q ^ u) over (query node, W-chain flat node) pairs:
+  //   P(q ^ u) = (1 - p) * P(q0 ^ u0) + p * P(q1 ^ u1)
+  // at the shallower of the two levels. The chain is as deep as the index,
+  // so the recursion runs on an explicit stack (like BddManager::Apply): a
+  // pair is combined once both cofactor pairs are known, else they are
+  // pushed above it.
   std::unordered_map<uint64_t, ScaledDouble> memo;
-  // Recursive lambda over (query node, W-chain flat node).
-  auto rec = [&](auto&& self, NodeId q, FlatId u) -> ScaledDouble {
-    if (q == BddManager::kFalse || u == kFlatFalse) return ScaledDouble::Zero();
-    if (q == BddManager::kTrue) {
+  // P(q ^ u) of a sink pair or a memoized pair; false when not yet known.
+  auto known = [&](NodeId qn, FlatId u, ScaledDouble* v) {
+    if (qn == BddManager::kFalse || u == kFlatFalse) {
+      *v = ScaledDouble::Zero();
+    } else if (qn == BddManager::kTrue) {
       // Block-local annotation: pay the rest-of-chain product here.
-      return flat_->prob_under_scaled(u) * SuffixAfterNode(u);
+      *v = flat_->prob_under_scaled(u) * SuffixAfterNode(u);
+    } else if (u == kFlatTrue) {
+      *v = ScaledDouble(ProbQ(qmgr, qn, &qmemo));
+    } else {
+      auto it = memo.find(PairKey(qn, u));
+      if (it == memo.end()) return false;
+      *v = it->second;
     }
-    if (u == kFlatTrue) return ScaledDouble(ProbQ(*mgr_, q, &qmemo));
-    const uint64_t key = PairKey(q, u);
-    auto it = memo.find(key);
-    if (it != memo.end()) return it->second;
-
-    const int32_t lq = mgr_->level(q);
+    return true;
+  };
+  std::vector<std::pair<NodeId, FlatId>> stack = {{q.root, start}};
+  while (!stack.empty()) {
+    const auto [qn, u] = stack.back();
+    const int32_t lq = qmgr.level(qn);
     const int32_t lu = flat_->level(u);
     const int32_t l = std::min(lq, lu);
-    const double p = flat_->prob_at_level(l);
-    NodeId q0 = q, q1 = q;
-    if (lq == l) {
-      const BddNode& n = mgr_->node(q);
-      q0 = n.lo;
-      q1 = n.hi;
+    const BddNode& n = qmgr.node(qn);
+    const NodeId q0 = lq == l ? n.lo : qn;
+    const NodeId q1 = lq == l ? n.hi : qn;
+    const FlatId u0 = lu == l ? flat_->lo(u) : u;
+    const FlatId u1 = lu == l ? flat_->hi(u) : u;
+    ScaledDouble v0, v1;
+    const bool has0 = known(q0, u0, &v0);
+    const bool has1 = known(q1, u1, &v1);
+    if (has0 && has1) {
+      stack.pop_back();
+      const double p = flat_->prob_at_level(l);
+      memo.emplace(PairKey(qn, u),
+                   ScaledDouble(1.0 - p) * v0 + ScaledDouble(p) * v1);
+      continue;
     }
-    FlatId u0 = u, u1 = u;
-    if (lu == l) {
-      u0 = flat_->lo(u);
-      u1 = flat_->hi(u);
-    }
-    const ScaledDouble r = ScaledDouble(1.0 - p) * self(self, q0, u0) +
-                           ScaledDouble(p) * self(self, q1, u1);
-    memo.emplace(key, r);
-    return r;
-  };
-  return prefix * rec(rec, q_root, start);
-}
-
-ScaledDouble MvIndex::CCMVIntersectScaled(NodeId q_root) const {
-  CcSweepScratch scratch;
-  return CCMVIntersectScaled(CcQuery{mgr_, q_root}, &scratch);
+    if (!has1) stack.push_back({q1, u1});
+    if (!has0) stack.push_back({q0, u0});
+  }
+  return prefix * memo.at(PairKey(q.root, start));
 }
 
 ScaledDouble MvIndex::CCMVIntersectScaled(const CcQuery& q,

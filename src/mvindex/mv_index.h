@@ -16,8 +16,9 @@
 //
 // Online evaluation computes P0(Q ^ NOT W) — the numerator of Eq. 5, since
 // P0(Q v W) - P0(W) = P0(Q ^ NOT W) — via two interchangeable algorithms:
-// MVIntersect (top-down, memoized on node pairs) and CC-MVIntersect
-// (iterative forward sweep over the flat vector; Section 4.3, Prop. 3).
+// MVIntersect (top-down, memoized on node pairs; the Fig. 9 baseline) and
+// CC-MVIntersect (forward sweep over the flat vector; Section 4.3, Prop. 3),
+// which serves every online read.
 
 #ifndef MVDB_MVINDEX_MV_INDEX_H_
 #define MVDB_MVINDEX_MV_INDEX_H_
@@ -39,9 +40,10 @@
 
 namespace mvdb {
 
-/// One query root for the (batched) cache-conscious sweep, paired with the
-/// manager its nodes live in. The manager must share the index's VarOrder;
-/// it is read, never written.
+/// One query root for the intersect algorithms (MVIntersect and the
+/// batched cache-conscious sweep), paired with the manager its nodes live
+/// in. The manager must share the index's VarOrder; it is read, never
+/// written.
 struct CcQuery {
   const BddManager* mgr = nullptr;
   NodeId root = BddManager::kFalse;
@@ -114,8 +116,8 @@ struct MvIndexBuildOptions {
 
 /// What the offline build did — the numbers bench_build_scale reports.
 /// The front-end phases (translate/order) run in QueryEngine::Compile before
-/// MvIndex::Build and are filled in by the engine; partition/compile/stitch/
-/// import are timed inside Build. Together they cover the whole offline
+/// MvIndex::Build and are filled in by the engine; partition/compile/stitch
+/// are timed inside Build. Together they cover the whole offline
 /// pipeline wall clock.
 struct MvIndexBuildStats {
   size_t block_tasks = 0;         ///< partition output (pre skip/merge)
@@ -153,12 +155,14 @@ struct MvIndexBuildStats {
   /// block sort + range merging (the MergeInto scratch rebuilds, when W has
   /// non-inversion-free residues) + stitched emission + annotation passes.
   double stitch_seconds = 0.0;
-  /// Reserve-ahead bulk import of the stitched chain into the online
-  /// manager (FlatObdd::ImportInto).
+  /// Bulk import of the stitched chain into the manager. Always 0 after
+  /// Build: the chain is imported lazily, on the first kObddReuse read
+  /// (MvIndex::EnsureChainImported), and that read pays for it. Kept so
+  /// the phase columns of existing reports stay stable.
   double import_seconds = 0.0;
   /// End-to-end offline wall clock measured by QueryEngine::Compile. The
-  /// six phase timings above partition it: their sum equals this value up
-  /// to clock-read noise (engine_scale_test asserts the invariant).
+  /// five nonzero phase timings above partition it: their sum equals this
+  /// value up to clock-read noise (engine_scale_test asserts the invariant).
   double total_seconds = 0.0;
 };
 
@@ -206,9 +210,10 @@ struct IndexIoAccess;  // defined in index_io.cc
 class MvIndex {
  public:
   /// Compiles W (the union of view constraint queries, Eq. 4) into an
-  /// MV-index. The manager must already hold the global variable order and
-  /// is also used later for query-side OBDDs. `var_probs` is indexed by
-  /// VarId (NV variables may carry negative probabilities).
+  /// MV-index. The manager must already hold the global variable order;
+  /// the index reads its order and imports the chain into it on demand
+  /// (EnsureChainImported). `var_probs` is indexed by VarId (NV variables
+  /// may carry negative probabilities).
   ///
   /// The build is a three-stage pipeline: partition W into variable-disjoint
   /// block tasks (independent view groups x separator values, emitted as
@@ -219,9 +224,8 @@ class MvIndex {
   /// re-planning each grounded block query (obdd/conobdd.h,
   /// ConObddTemplate; disable via options.use_plan_templates) — and flatten
   /// each block standalone, then stitch the per-block pieces into the flat
-  /// chain by direct emission (no global NodeId -> FlatId map). Only the
-  /// finished chain is imported into `mgr`; per-shard compile state is
-  /// discarded.
+  /// chain by direct emission (no global NodeId -> FlatId map). Per-shard
+  /// compile state is discarded; nothing is imported into `mgr`.
   static StatusOr<std::unique_ptr<MvIndex>> Build(
       const Database& db, const Ucq& w, BddManager* mgr,
       const std::vector<double>& var_probs,
@@ -313,19 +317,11 @@ class MvIndex {
   }
   double ProbNotW() const { return ProbNotWScaled().ToDouble(); }
 
-  /// P0(Q ^ NOT W) by the top-down memoized MVIntersect. `q_root` is a
-  /// query OBDD in the same manager/order.
-  ScaledDouble MVIntersectScaled(NodeId q_root) const;
-  double MVIntersect(NodeId q_root) const {
-    return MVIntersectScaled(q_root).ToDouble();
-  }
-
-  /// P0(Q ^ NOT W) by the cache-conscious forward sweep (with a scratch
-  /// local to the call).
-  ScaledDouble CCMVIntersectScaled(NodeId q_root) const;
-  double CCMVIntersect(NodeId q_root) const {
-    return CCMVIntersectScaled(q_root).ToDouble();
-  }
+  /// P0(Q ^ NOT W) by the top-down memoized MVIntersect (the paper's
+  /// baseline for Fig. 9). Like the CC sweep it reads the query from `q.mgr`
+  /// and keeps its memo local to the call; it runs on an explicit stack, so
+  /// its depth does not grow with the chain.
+  ScaledDouble MVIntersectScaled(const CcQuery& q) const;
 
   /// Thread-safe CC sweep: the query root lives in `q.mgr` (any manager
   /// sharing the index's variable order — serving workers synthesize query
@@ -358,16 +354,10 @@ class MvIndex {
   /// Total nodes in the compiled chain (the paper reports 1.38M for DBLP).
   size_t size() const { return flat_->size(); }
 
-  /// Manager node of the compiled NOT W chain (e.g. to derive the W OBDD
-  /// once via Not() for index-less evaluation baselines). Only valid when
-  /// chain_imported(); loaded indexes import lazily via
-  /// EnsureChainImported().
-  NodeId not_w_manager_root() const { return not_w_root_; }
-
-  /// Whether the flat chain has been imported into the manager (always true
-  /// after Build; false after Load/LoadMapped until a caller needs the
-  /// manager-side root). Serving's CC sweep never does — that is what makes
-  /// the mmap'd start instant.
+  /// Whether the flat chain has been imported into the manager. False after
+  /// Build, Load and LoadMapped alike, until a caller needs the manager-side
+  /// root (only the kObddReuse baseline does). The sweeps never do — that
+  /// is what makes the mmap'd start instant.
   bool chain_imported() const { return chain_imported_; }
 
   /// Imports the chain into the manager on first use and returns its root.

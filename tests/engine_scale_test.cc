@@ -102,10 +102,11 @@ TEST(EngineScaleTest, MixedSignBlocksStayInRange) {
 
 TEST(EngineScaleTest, BuildStatsCoverEveryPipelinePhase) {
   // The offline pipeline is translate -> order -> partition -> compile ->
-  // stitch -> import; bench_build_scale reports this breakdown from
-  // MvIndexBuildStats, so every phase timing must actually be populated
-  // (the front-end phases are filled in by QueryEngine::Compile, the rest
-  // inside MvIndex::Build).
+  // stitch; bench_build_scale reports this breakdown from MvIndexBuildStats,
+  // so every phase timing must actually be populated (the front-end phases
+  // are filled in by QueryEngine::Compile, the rest inside MvIndex::Build).
+  // The chain import into the engine's manager is not part of it: the first
+  // kObddReuse read pays for it.
   dblp::DblpConfig cfg;
   cfg.num_authors = 2000;
   auto mvdb = dblp::BuildDblpMvdb(cfg, nullptr);
@@ -118,7 +119,8 @@ TEST(EngineScaleTest, BuildStatsCoverEveryPipelinePhase) {
   EXPECT_GT(stats.partition_seconds, 0.0);
   EXPECT_GT(stats.compile_seconds, 0.0);
   EXPECT_GT(stats.stitch_seconds, 0.0);
-  EXPECT_GT(stats.import_seconds, 0.0);
+  EXPECT_EQ(stats.import_seconds, 0.0);
+  EXPECT_FALSE(engine.index().chain_imported());
   EXPECT_GT(stats.block_tasks, 0u);
   EXPECT_GT(stats.blocks, 0u);
   EXPECT_GT(stats.flat_nodes, 0u);
@@ -126,7 +128,7 @@ TEST(EngineScaleTest, BuildStatsCoverEveryPipelinePhase) {
   EXPECT_GT(stats.template_blocks, 0u);
   EXPECT_LE(stats.template_plan_seconds, stats.compile_seconds);
 
-  // The six phases partition the build: no phase double-counted, none
+  // The five phases partition the build: no phase double-counted, none
   // omitted. Every instruction of QueryEngine::Compile runs inside exactly
   // one phase window, so (a) the sum can never exceed the end-to-end wall
   // time, and (b) it must reproduce it up to clock-read noise and
@@ -136,11 +138,19 @@ TEST(EngineScaleTest, BuildStatsCoverEveryPipelinePhase) {
   // and container teardown the audit removed.
   const double phase_sum = stats.translate_seconds + stats.order_seconds +
                            stats.partition_seconds + stats.compile_seconds +
-                           stats.stitch_seconds + stats.import_seconds;
+                           stats.stitch_seconds;
   EXPECT_GT(stats.total_seconds, 0.0);
   EXPECT_LE(phase_sum, stats.total_seconds + 1e-6);
   EXPECT_NEAR(phase_sum, stats.total_seconds,
               std::max(0.15, 0.15 * stats.total_seconds));
+
+  // The first kObddReuse read imports the chain.
+  const Table* advisor = (*mvdb)->db().Find("Advisor");
+  ASSERT_GT(advisor->size(), 0u);
+  const Ucq q = dblp::StudentsOfAdvisorQuery(
+      mvdb->get(), dblp::AuthorName(static_cast<int>(advisor->At(0, 1))));
+  ASSERT_TRUE(engine.Query(q, Backend::kObddReuse).ok());
+  EXPECT_TRUE(engine.index().chain_imported());
 
   // Compiling through an already-translated MVDB reports a zero translate
   // phase (nothing ran) but still times the rest.

@@ -86,10 +86,13 @@ TEST_P(ParallelBuildParityTest, ShardedBuildIsBitIdenticalToSerial) {
   for (const char* qs : queries) {
     Ucq q = MustParse(qs, &mvdb->db().dict());
     const Lineage lin = *EvalBoolean(mvdb->db(), q);
-    const NodeId b1 = serial.manager().FromLineageSynthesis(lin);
-    const NodeId b2 = sharded.manager().FromLineageSynthesis(lin);
-    EXPECT_TRUE(serial.index().CCMVIntersectScaled(b1) ==
-                sharded.index().CCMVIntersectScaled(b2))
+    BddManager m1(serial.index().manager().order());
+    BddManager m2(sharded.index().manager().order());
+    const CcQuery b1{&m1, m1.FromLineageSynthesis(lin)};
+    const CcQuery b2{&m2, m2.FromLineageSynthesis(lin)};
+    CcSweepScratch scratch;
+    EXPECT_TRUE(serial.index().CCMVIntersectScaled(b1, &scratch) ==
+                sharded.index().CCMVIntersectScaled(b2, &scratch))
         << qs;
     EXPECT_TRUE(serial.index().MVIntersectScaled(b1) ==
                 sharded.index().MVIntersectScaled(b2))

@@ -109,6 +109,15 @@ TEST(FlatObddTest, Width) {
   EXPECT_GE(flat.Width(), 1u);
 }
 
+/// The two intersect algorithms on a query OBDD held in `mgr`.
+double TopDown(const MvIndex& index, const BddManager& mgr, NodeId q) {
+  return index.MVIntersectScaled(CcQuery{&mgr, q}).ToDouble();
+}
+double Sweep(const MvIndex& index, const BddManager& mgr, NodeId q) {
+  CcSweepScratch scratch;
+  return index.CCMVIntersectScaled(CcQuery{&mgr, q}, &scratch).ToDouble();
+}
+
 class MvIndexFixture : public ::testing::Test {
  protected:
   // A small database with two view-like constraint groups over disjoint
@@ -167,17 +176,18 @@ TEST_F(MvIndexFixture, IntersectMatchesBruteForce) {
     const Lineage q = RandomLineage(&rng, nv, 3, 2);
     const NodeId qb = mgr_->FromLineageSynthesis(q);
     const double expected = BruteForceProbAndNot(q, w_lineage_, probs_);
-    EXPECT_NEAR(index_->MVIntersect(qb), expected, 1e-9) << q.ToString();
-    EXPECT_NEAR(index_->CCMVIntersect(qb), expected, 1e-9) << q.ToString();
+    EXPECT_NEAR(TopDown(*index_, *mgr_, qb), expected, 1e-9) << q.ToString();
+    EXPECT_NEAR(Sweep(*index_, *mgr_, qb), expected, 1e-9) << q.ToString();
   }
 }
 
 TEST_F(MvIndexFixture, IntersectTrivialQueries) {
   Build("W :- R(x), S(x,y).");
-  EXPECT_DOUBLE_EQ(index_->MVIntersect(BddManager::kFalse), 0.0);
-  EXPECT_NEAR(index_->MVIntersect(BddManager::kTrue), index_->ProbNotW(), 1e-12);
-  EXPECT_DOUBLE_EQ(index_->CCMVIntersect(BddManager::kFalse), 0.0);
-  EXPECT_NEAR(index_->CCMVIntersect(BddManager::kTrue), index_->ProbNotW(),
+  EXPECT_DOUBLE_EQ(TopDown(*index_, *mgr_, BddManager::kFalse), 0.0);
+  EXPECT_NEAR(TopDown(*index_, *mgr_, BddManager::kTrue), index_->ProbNotW(),
+              1e-12);
+  EXPECT_DOUBLE_EQ(Sweep(*index_, *mgr_, BddManager::kFalse), 0.0);
+  EXPECT_NEAR(Sweep(*index_, *mgr_, BddManager::kTrue), index_->ProbNotW(),
               1e-12);
 }
 
@@ -190,8 +200,8 @@ TEST_F(MvIndexFixture, QueryTouchingOnlyLastBlockSkipsPrefix) {
   q.AddClause({t->var(0)});
   const NodeId qb = mgr_->FromLineageSynthesis(q);
   const double expected = BruteForceProbAndNot(q, w_lineage_, probs_);
-  EXPECT_NEAR(index_->MVIntersect(qb), expected, 1e-9);
-  EXPECT_NEAR(index_->CCMVIntersect(qb), expected, 1e-9);
+  EXPECT_NEAR(TopDown(*index_, *mgr_, qb), expected, 1e-9);
+  EXPECT_NEAR(Sweep(*index_, *mgr_, qb), expected, 1e-9);
 }
 
 TEST_F(MvIndexFixture, NonInversionFreeWStillExact) {
@@ -209,8 +219,8 @@ TEST_F(MvIndexFixture, NonInversionFreeWStillExact) {
     const Lineage q = RandomLineage(&rng, nv, 3, 2);
     const NodeId qb = mgr_->FromLineageSynthesis(q);
     const double expected = BruteForceProbAndNot(q, w_lineage_, probs_);
-    EXPECT_NEAR(index_->MVIntersect(qb), expected, 1e-9);
-    EXPECT_NEAR(index_->CCMVIntersect(qb), expected, 1e-9);
+    EXPECT_NEAR(TopDown(*index_, *mgr_, qb), expected, 1e-9);
+    EXPECT_NEAR(Sweep(*index_, *mgr_, qb), expected, 1e-9);
   }
 }
 
@@ -228,8 +238,8 @@ TEST_F(MvIndexFixture, EmptyWIsIdentity) {
   Lineage q;
   q.AddClause({0});
   const NodeId qb = mgr_->FromLineageSynthesis(q);
-  EXPECT_NEAR((*index)->MVIntersect(qb), 0.5, 1e-12);
-  EXPECT_NEAR((*index)->CCMVIntersect(qb), 0.5, 1e-12);
+  EXPECT_NEAR(TopDown(**index, *mgr_, qb), 0.5, 1e-12);
+  EXPECT_NEAR(Sweep(**index, *mgr_, qb), 0.5, 1e-12);
 }
 
 TEST_F(MvIndexFixture, NegativeProbabilities) {
@@ -255,9 +265,9 @@ TEST_F(MvIndexFixture, NegativeProbabilities) {
   Lineage q;
   q.AddClause({0});
   const NodeId qb = mgr_->FromLineageSynthesis(q);
-  EXPECT_NEAR(index_->MVIntersect(qb),
+  EXPECT_NEAR(TopDown(*index_, *mgr_, qb),
               BruteForceProbAndNot(q, w_lineage_, probs_), 1e-9);
-  EXPECT_NEAR(index_->CCMVIntersect(qb),
+  EXPECT_NEAR(Sweep(*index_, *mgr_, qb),
               BruteForceProbAndNot(q, w_lineage_, probs_), 1e-9);
 }
 

@@ -4,7 +4,7 @@
 // shape, distinct from the non-colliding binding of the same syntax), and
 // the central correctness property — cached execution is bit-identical to
 // plan-from-scratch Eval on randomized UCQs, both at the PlanCache level
-// and through QueryEngine::EnablePlanCache.
+// and through the engine's reads, which run on a cached serving executor.
 
 #include <gtest/gtest.h>
 
@@ -212,22 +212,19 @@ TEST(PlanCacheTest, CachedEqualsFromScratchOnRandomizedUcqs) {
   }
 }
 
-TEST(PlanCacheTest, EngineRoutedQueriesAreBitIdenticalWithCacheOnAndOff) {
-  // QueryEngine::EnablePlanCache must not change a single output bit:
-  // compile two copies of the same random instance, route one engine's
-  // queries through the cache, and compare Query() probabilities bitwise.
+TEST(PlanCacheTest, EngineQueriesMatchFreshPlanAndSoloSweepBitwise) {
+  // Engine reads plan through the read server's cache. A hit must not
+  // change a single output bit: every Query() answer equals plan-from-
+  // scratch Eval + synthesis into a fresh manager + one solo CC sweep.
   for (int inst = 0; inst < 4; ++inst) {
-    auto make = [&]() {
-      Rng rng(9700 + static_cast<uint64_t>(inst));
-      RandomMvdbSpec spec;
-      spec.domain = 4;
-      return RandomMvdb(&rng, spec);
-    };
-    auto cached_mvdb = make();
-    auto plain_mvdb = make();
-    QueryEngine cached(cached_mvdb.get());
-    QueryEngine plain(plain_mvdb.get());
-    cached.EnablePlanCache(4);
+    Rng rng(9700 + static_cast<uint64_t>(inst));
+    RandomMvdbSpec spec;
+    spec.domain = 4;
+    auto mvdb = RandomMvdb(&rng, spec);
+    QueryEngine engine(mvdb.get());
+    ASSERT_TRUE(engine.Compile().ok());
+    const MvIndex& index = engine.index();
+    const ScaledDouble denom = index.ProbNotWScaled();
 
     const std::vector<std::string> queries = {
         "Q(x) :- R(x), S(x,y).", "Q(x) :- R(x), S(x,y).",  // repeat: a hit
@@ -235,27 +232,33 @@ TEST(PlanCacheTest, EngineRoutedQueriesAreBitIdenticalWithCacheOnAndOff) {
         "Q :- R(1), S(1,y).",
     };
     for (const std::string& text : queries) {
-      const Ucq qc = MustParse(text, &cached_mvdb->db().dict());
-      const Ucq qp = MustParse(text, &plain_mvdb->db().dict());
-      auto rc = cached.Query(qc, Backend::kMvIndexCC);
-      auto rp = plain.Query(qp, Backend::kMvIndexCC);
-      ASSERT_TRUE(rc.ok()) << rc.status().ToString();
-      ASSERT_TRUE(rp.ok()) << rp.status().ToString();
-      ASSERT_EQ(rc->size(), rp->size());
-      for (size_t i = 0; i < rc->size(); ++i) {
-        EXPECT_EQ((*rc)[i].head, (*rp)[i].head);
-        uint64_t bc, bp;
-        std::memcpy(&bc, &(*rc)[i].prob, sizeof(bc));
-        std::memcpy(&bp, &(*rp)[i].prob, sizeof(bp));
-        EXPECT_EQ(bc, bp) << text << " answer " << i;
+      const Ucq q = MustParse(text, &mvdb->db().dict());
+      auto got = engine.Query(q, Backend::kMvIndexCC);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      AnswerMap answers;
+      ASSERT_TRUE(Eval(mvdb->db(), q, EvalOptions{}, &answers).ok());
+      ASSERT_EQ(got->size(), answers.size());
+      BddManager qmgr(index.manager().order());
+      CcSweepScratch scratch;
+      size_t i = 0;
+      for (const auto& [head, info] : answers) {
+        const NodeId root = qmgr.FromLineageSynthesis(info.lineage);
+        double want =
+            (index.CCMVIntersectScaled(CcQuery{&qmgr, root}, &scratch) / denom)
+                .ToDouble();
+        if (want < 0.0 && want > -1e-9) want = 0.0;  // the serving clamp
+        if (want > 1.0 && want < 1.0 + 1e-9) want = 1.0;
+        EXPECT_EQ((*got)[i].head, head);
+        uint64_t bg, bw;
+        std::memcpy(&bg, &(*got)[i].prob, sizeof(bg));
+        std::memcpy(&bw, &want, sizeof(bw));
+        EXPECT_EQ(bg, bw) << text << " answer " << i;
+        ++i;
       }
     }
-    const PlanCacheStats stats = cached.plan_cache_stats();
+    const PlanCacheStats stats = engine.plan_cache_stats();
     EXPECT_GT(stats.hits, 0u);  // the repeat and the shared shape hit
     EXPECT_GT(stats.misses, 0u);
-
-    cached.DisablePlanCache();
-    EXPECT_EQ(cached.plan_cache_stats().misses, 0u);
   }
 }
 

@@ -1,16 +1,19 @@
 // Concurrency battery for the serving layer, extending the golden-hash
 // discipline of pipeline_golden_test to the READ path: N client threads
 // hammer Eval + CC-MVIntersect on one shared index through a Server, across
-// worker counts {1, 2, 8, 0}, with the plan cache on and off and batching
-// on and off — and every single result must be bit-identical to the serial
-// first-principles evaluation (Eval + fresh-manager synthesis + solo CC
-// sweep). The serial reference itself is pinned by a golden hash, so a
-// change that silently moves answer bits fails even with the concurrency
-// machinery agreeing with itself. Runs under the TSan CI job.
+// worker counts {1, 2, 8, 0} and with batching on and off — and every
+// single result must be bit-identical to the serial first-principles
+// evaluation (Eval + fresh-manager synthesis + solo CC sweep). The serial
+// reference itself is pinned by a golden hash, so a change that silently
+// moves answer bits fails even with the concurrency machinery agreeing with
+// itself. The engine's own reads run on the same executor: they must match
+// it bitwise and leave the engine's manager untouched. Runs under the TSan
+// CI job.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -63,8 +66,42 @@ bool BitEqual(const std::vector<AnswerProb>& a,
   return true;
 }
 
-/// The DBLP-400 workload (affiliation views on — same instance the
-/// template golden test pins), compiled once and shared: the serving layer
+/// The DBLP-400 instance (affiliation views on — same instance the
+/// template golden test pins).
+std::unique_ptr<Mvdb> BuildDblp400() {
+  dblp::DblpConfig cfg;
+  cfg.num_authors = 400;
+  cfg.include_affiliation = true;
+  auto mvdb = dblp::BuildDblpMvdb(cfg, nullptr);
+  MVDB_CHECK(mvdb.ok());
+  return std::move(mvdb).value();
+}
+
+/// The Fig. 10/11 mix: students-of-advisor and affiliation-of-author
+/// queries (repeated shapes, different constants), plus an empty-answer
+/// query — all pre-parsed, since parsing interns into the shared dict.
+std::vector<Ucq> BuildQueries(Mvdb* mvdb) {
+  std::vector<Ucq> queries;
+  const Table* advisor = mvdb->db().Find("Advisor");
+  MVDB_CHECK(advisor != nullptr && advisor->size() >= 6);
+  const size_t stride = advisor->size() / 6;
+  for (size_t i = 0; i < 6; ++i) {
+    const Value senior = advisor->At(static_cast<RowId>(i * stride), 1);
+    queries.push_back(dblp::StudentsOfAdvisorQuery(
+        mvdb, dblp::AuthorName(static_cast<int>(senior))));
+  }
+  const Table* aff = mvdb->db().Find("Affiliation");
+  MVDB_CHECK(aff != nullptr && aff->size() >= 3);
+  for (size_t i = 0; i < 3; ++i) {
+    const Value aid = aff->At(static_cast<RowId>(i), 0);
+    queries.push_back(dblp::AffiliationOfAuthorQuery(
+        mvdb, dblp::AuthorName(static_cast<int>(aid))));
+  }
+  queries.push_back(dblp::StudentsOfAdvisorQuery(mvdb, "no-such-author"));
+  return queries;
+}
+
+/// The DBLP-400 workload, compiled once and shared: the serving layer
 /// treats it as immutable, which is exactly what this suite stresses.
 struct SharedWorkload {
   std::unique_ptr<Mvdb> mvdb;
@@ -76,35 +113,10 @@ struct SharedWorkload {
 SharedWorkload& Shared() {
   static SharedWorkload* shared = [] {
     auto* s = new SharedWorkload();
-    dblp::DblpConfig cfg;
-    cfg.num_authors = 400;
-    cfg.include_affiliation = true;
-    auto mvdb = dblp::BuildDblpMvdb(cfg, nullptr);
-    MVDB_CHECK(mvdb.ok());
-    s->mvdb = std::move(mvdb).value();
+    s->mvdb = BuildDblp400();
     s->engine = std::make_unique<QueryEngine>(s->mvdb.get());
     MVDB_CHECK(s->engine->Compile().ok());
-
-    // The Fig. 10/11 mix: students-of-advisor and affiliation-of-author
-    // queries (repeated shapes, different constants), plus an empty-answer
-    // query — all pre-parsed, since parsing interns into the shared dict.
-    const Table* advisor = s->mvdb->db().Find("Advisor");
-    MVDB_CHECK(advisor != nullptr && advisor->size() >= 6);
-    const size_t stride = advisor->size() / 6;
-    for (size_t i = 0; i < 6; ++i) {
-      const Value senior = advisor->At(static_cast<RowId>(i * stride), 1);
-      s->queries.push_back(dblp::StudentsOfAdvisorQuery(
-          s->mvdb.get(), dblp::AuthorName(static_cast<int>(senior))));
-    }
-    const Table* aff = s->mvdb->db().Find("Affiliation");
-    MVDB_CHECK(aff != nullptr && aff->size() >= 3);
-    for (size_t i = 0; i < 3; ++i) {
-      const Value aid = aff->At(static_cast<RowId>(i), 0);
-      s->queries.push_back(dblp::AffiliationOfAuthorQuery(
-          s->mvdb.get(), dblp::AuthorName(static_cast<int>(aid))));
-    }
-    s->queries.push_back(
-        dblp::StudentsOfAdvisorQuery(s->mvdb.get(), "no-such-author"));
+    s->queries = BuildQueries(s->mvdb.get());
 
     // Serial first-principles reference: Eval, synthesize each answer's
     // lineage into a FRESH manager (the serving bit-identity invariant),
@@ -226,27 +238,16 @@ TEST(ServeConcurrencyTest, BitIdenticalAcrossWorkerThreadCounts) {
   }
 }
 
-TEST(ServeConcurrencyTest, BitIdenticalWithCacheOffAndWithBatchingOff) {
+TEST(ServeConcurrencyTest, BitIdenticalWithBatchingOff) {
   SharedWorkload& s = Shared();
-  {
-    ServeOptions opts;
-    opts.num_threads = 8;
-    opts.use_plan_cache = false;  // the escape hatch: re-plan every request
-    auto server = s.engine->Serve(opts);
-    ASSERT_TRUE(server.ok());
-    Hammer(server->get(), 4, 2);
-    EXPECT_EQ((*server)->plan_cache_stats().misses, 0u);
-  }
-  {
-    ServeOptions opts;
-    opts.num_threads = 8;
-    opts.max_batch = 1;  // no cross-request batching
-    auto server = s.engine->Serve(opts);
-    ASSERT_TRUE(server.ok());
-    Hammer(server->get(), 4, 2);
-    (*server)->Shutdown();
-    EXPECT_EQ((*server)->stats().batched_requests, 0u);
-  }
+  ServeOptions opts;
+  opts.num_threads = 8;
+  opts.max_batch = 1;  // no cross-request batching
+  auto server = s.engine->Serve(opts);
+  ASSERT_TRUE(server.ok());
+  Hammer(server->get(), 4, 2);
+  (*server)->Shutdown();
+  EXPECT_EQ((*server)->stats().batched_requests, 0u);
 }
 
 TEST(ServeConcurrencyTest, BatchedSweepMatchesSoloSweepPerRoot) {
@@ -278,19 +279,83 @@ TEST(ServeConcurrencyTest, BatchedSweepMatchesSoloSweepPerRoot) {
   }
 }
 
-TEST(ServeConcurrencyTest, EngineQueryAgreesWithServingWithinTolerance) {
-  // The engine's own Query() path synthesizes into the big shared manager,
-  // whose NodeIds (and so accumulation orders) differ from the fresh
-  // per-request managers — agreement is to floating-point accuracy, not
-  // bitwise; both are pinned against the same mathematical value.
+TEST(ServeConcurrencyTest, EngineQueryMatchesServingBitwise) {
+  // The engine's kMvIndexCC read is Server::Execute on a server the engine
+  // owns, so its answers are the served answers, bit for bit.
   SharedWorkload& s = Shared();
+  ServeOptions opts;
+  opts.start_workers = false;
+  auto server = s.engine->Serve(opts);
+  ASSERT_TRUE(server.ok());
   for (size_t i = 0; i < s.queries.size(); ++i) {
     auto engine_answers = s.engine->Query(s.queries[i], Backend::kMvIndexCC);
-    ASSERT_TRUE(engine_answers.ok());
-    ASSERT_EQ(engine_answers->size(), s.reference[i].size());
-    for (size_t j = 0; j < s.reference[i].size(); ++j) {
-      EXPECT_EQ((*engine_answers)[j].head, s.reference[i][j].head);
-      EXPECT_NEAR((*engine_answers)[j].prob, s.reference[i][j].prob, 1e-9);
+    ASSERT_TRUE(engine_answers.ok()) << engine_answers.status().ToString();
+    ServeRequest req;
+    req.query = s.queries[i];
+    const ServeResult served = (*server)->Execute(req);
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    EXPECT_TRUE(BitEqual(*engine_answers, served.answers)) << "query " << i;
+    EXPECT_TRUE(BitEqual(*engine_answers, s.reference[i])) << "query " << i;
+  }
+}
+
+TEST(ServeConcurrencyTest, EngineReadsKeepNoStateAndDependOnlyOnTheQuery) {
+  // Index reads synthesize into per-request managers: they leave the
+  // engine's manager exactly as they found it, and their answers do not
+  // depend on which queries ran before, nor on whether the index was built
+  // or loaded from a file.
+  SharedWorkload& s = Shared();
+  const std::string path =
+      ::testing::TempDir() + "/serve_concurrency_dblp400.mvidx";
+  ASSERT_TRUE(s.engine->SaveIndex(path).ok());
+  std::unique_ptr<Mvdb> loaded_mvdb = BuildDblp400();
+  QueryEngine loaded(loaded_mvdb.get());
+  ASSERT_TRUE(loaded.OpenIndex(path).ok());
+  std::remove(path.c_str());
+  const std::vector<Ucq> loaded_queries = BuildQueries(loaded_mvdb.get());
+
+  struct Target {
+    const char* name;
+    QueryEngine* engine;
+    const std::vector<Ucq>* queries;
+  };
+  const Target targets[] = {{"built", s.engine.get(), &s.queries},
+                            {"loaded", &loaded, &loaded_queries}};
+  for (const Backend backend : {Backend::kMvIndexCC, Backend::kMvIndex}) {
+    std::vector<std::vector<AnswerProb>> want;
+    for (const Target& t : targets) {
+      const size_t nq = t.queries->size();
+      const size_t nodes = t.engine->manager().num_created();
+      std::vector<std::vector<AnswerProb>> forward(nq), reversed(nq);
+      for (size_t i = 0; i < nq; ++i) {
+        auto r = t.engine->Query((*t.queries)[i], backend);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        forward[i] = std::move(r).value();
+      }
+      for (size_t i = nq; i-- > 0;) {
+        auto r = t.engine->Query((*t.queries)[i], backend);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        reversed[i] = std::move(r).value();
+      }
+      // The Boolean entry points take the same path.
+      Ucq students = (*t.queries)[0];
+      students.head_vars.clear();
+      Ucq affiliation = (*t.queries)[6];
+      affiliation.head_vars.clear();
+      ASSERT_TRUE(t.engine->QueryBoolean(students, backend).ok());
+      auto cond = t.engine->ConditionalBoolean(students, affiliation, backend);
+      ASSERT_TRUE(cond.ok()) << cond.status().ToString();
+      EXPECT_EQ(t.engine->manager().num_created(), nodes)
+          << t.name << " backend " << static_cast<int>(backend);
+      if (want.empty()) want = forward;
+      for (size_t i = 0; i < nq; ++i) {
+        EXPECT_TRUE(BitEqual(forward[i], reversed[i]))
+            << t.name << " query " << i;
+        EXPECT_TRUE(BitEqual(forward[i], want[i])) << t.name << " query " << i;
+      }
+    }
+    if (backend == Backend::kMvIndexCC) {
+      EXPECT_EQ(HashAnswers(want), kGoldenAnswers);
     }
   }
 }
